@@ -3,7 +3,6 @@ package main
 import (
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -71,7 +70,7 @@ func TestDegradationChain(t *testing.T) {
 	cfg := legacy.Config{Width: 40, Height: 24, Seed: 1}
 	var err error
 	out := captureStdout(t, func() {
-		err = run(k, cfg, "generated", 1, false, false, nil)
+		err = run(k, cfg, "generated", 1, false, false)
 	})
 	if err != nil {
 		t.Fatalf("degraded run failed: %v", err)
@@ -96,7 +95,7 @@ func TestStrictDisablesDegradation(t *testing.T) {
 	cfg := legacy.Config{Width: 40, Height: 24, Seed: 1}
 	var err error
 	out := captureStdout(t, func() {
-		err = run(k, cfg, "generated", 1, false, true, nil)
+		err = run(k, cfg, "generated", 1, false, true)
 	})
 	if err == nil {
 		t.Fatal("strict run with an injected backend fault succeeded")
@@ -115,45 +114,11 @@ func TestVMTerminalBackend(t *testing.T) {
 	k := corpusKernel(t, "brighten")
 	inst := k.Instantiate(legacy.Config{Width: 40, Height: 24, Seed: 1})
 	out := captureStdout(t, func() {
-		if err := runBackend("vm", k, inst, nil, 1, false, nil); err != nil {
+		if err := runBackend("vm", k, inst, nil, 1, false); err != nil {
 			t.Errorf("vm terminal backend: %v", err)
 		}
 	})
 	if !strings.Contains(out, "(vm backend, direct emulation)") {
 		t.Errorf("vm backend did not report itself:\n%s", out)
-	}
-}
-
-// TestScheduleMismatchFallsBack arms the machine-mismatch faultpoint and
-// asserts an executing consumer drops the tuned set with the reason
-// printed, while analysis consumers (gen/bench) keep it.
-func TestScheduleMismatchFallsBack(t *testing.T) {
-	faultpoint.Enable("sched.machine-mismatch")
-	defer faultpoint.Reset()
-	path := filepath.Join(repoRoot(), "schedules.json")
-
-	out := captureStdout(t, func() {
-		set, err := loadSchedules(path, false, true, false)
-		if err != nil {
-			t.Errorf("loadSchedules forExec: %v", err)
-		}
-		if set != nil {
-			t.Error("mismatched schedule set was kept for execution")
-		}
-	})
-	if !strings.Contains(out, "fallback:") || !strings.Contains(out, "machine class") {
-		t.Errorf("mismatch fallback reason not printed:\n%s", out)
-	}
-
-	// -strict refuses instead of degrading.
-	if _, err := loadSchedules(path, false, true, true); err == nil {
-		t.Error("strict loadSchedules accepted a mismatched set")
-	}
-
-	// Analysis consumers keep the set (with a stderr warning) so that
-	// `helium gen -check` stays byte-stable across build hosts.
-	set, err := loadSchedules(path, false, false, false)
-	if err != nil || set == nil {
-		t.Errorf("analysis loadSchedules dropped the set: set=%v err=%v", set, err)
 	}
 }

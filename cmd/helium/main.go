@@ -8,8 +8,7 @@
 // Usage:
 //
 //	helium [-kernel name] [-width N] [-height N] [-seed N] [-v]
-//	       [-backend interp|compiled|generated] [-workers N]
-//	       [-schedules schedules.json] [-strict]
+//	       [-backend interp|compiled|generated] [-workers N] [-strict]
 //	helium -bench [-bench-out BENCH_lift.json] [-workers-sweep auto|1,2,4]
 //	       [-cpuprofile f] [-memprofile f]
 //	helium tune [-out schedules.json] [-smoke] [-width N] [-height N]
@@ -17,31 +16,27 @@
 //
 // With no -kernel, every corpus kernel is lifted.  The default backend
 // compiles the lifted trees to register programs and evaluates them both
-// serially and with the cache-blocked parallel driver — plus, when a
-// tuned schedule set is present, under that schedule (sliding-window
-// fusion included); -backend interp selects the tree-walking evaluator
-// and -backend generated the ahead-of-time Go code in
-// internal/liftedkernels.  Either way the output is compared byte for
-// byte with what the legacy binary wrote.
+// serially and with the cache-blocked parallel driver; -backend interp
+// selects the tree-walking evaluator and -backend generated the
+// ahead-of-time Go code in internal/liftedkernels.  Either way the output
+// is compared byte for byte with what the legacy binary wrote.
 //
 // When a backend fails, run degrades gracefully down the chain
 // generated -> compiled -> interp -> vm, printing the reason for each
 // step down; the terminal vm backend re-emulates the binary directly, so
 // a correct answer always comes back even when the lift itself fails.
-// -strict disables the chain: the first failure is fatal.  A schedule
-// set tuned on a different machine class is likewise dropped for
-// execution, with the reason printed (re-run `helium tune` to
-// re-measure).
+// -strict disables the chain: the first failure is fatal.
 //
-// -bench times VM emulation against all execution backends (including
-// the tuned schedule) over the corpus, sweeps the parallel backends over
-// worker counts, and writes a machine-readable JSON report.
+// -bench times VM emulation against every execution backend over the
+// corpus — the generated code under its tuned schedule — sweeps the
+// generated backend over worker counts, and writes a machine-readable
+// JSON report.
 //
 // The tune subcommand is the autotuner: it races candidate schedules
-// (tiles, workers, materialize vs sliding-window fusion) per kernel,
-// verifying each candidate bit-exact before timing it, and writes the
-// winners to schedules.json; -smoke runs a tiny grid and asserts the
-// artifact round-trips, for CI.
+// (tiles, workers, materialize vs sliding-window fusion) per kernel on
+// the generated runtime, verifying each candidate bit-exact against the
+// VM before timing it, and writes the winners to schedules.json; -smoke
+// runs a tiny grid and asserts the artifact round-trips, for CI.
 //
 // The gen subcommand regenerates the internal/liftedkernels package from
 // the corpus (true ahead-of-time codegen), embedding the tuned schedules
@@ -85,10 +80,6 @@ var (
 	// before verification, modeling a stale internal/liftedkernels.
 	fpGenVerifyFail = faultpoint.Register("gen.verify-fail",
 		"corrupt one byte of the generated backend's output before verification")
-	// fpSchedMismatch treats the loaded schedule set as tuned on a
-	// different machine class, forcing the heuristic-default fallback.
-	fpSchedMismatch = faultpoint.Register("sched.machine-mismatch",
-		"treat the loaded schedule set as tuned on a different machine class")
 )
 
 func main() {
@@ -120,7 +111,6 @@ func main() {
 		benchOut   = flag.String("bench-out", "BENCH_lift.json", "benchmark report path (with -bench)")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile of the bench run to this file")
 		memProf    = flag.String("memprofile", "", "write a heap profile after the bench run to this file")
-		schedPath  = flag.String("schedules", "schedules.json", "tuned schedule set consumed by run/bench (missing file = heuristic defaults)")
 		sweep      = flag.String("workers-sweep", "auto", "bench worker-count sweep: comma list or \"auto\" (powers of two up to GOMAXPROCS)")
 		strict     = flag.Bool("strict", false, "disable graceful backend degradation: the first backend failure is fatal")
 	)
@@ -160,18 +150,9 @@ func main() {
 		kernels = []legacy.Kernel{k}
 	}
 
-	// run executes under the loaded schedules, so a machine-class mismatch
-	// must fall back (or, with -strict, fail); bench only times them and
-	// keeps the historical warn-and-apply behavior so its artifact stays
-	// comparable across machines.
-	scheds, err := loadSchedules(*schedPath, *verbose, !*bench, *strict)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "helium: %v\n", err)
-		os.Exit(1)
-	}
 	cfg := legacy.Config{Width: *width, Height: *height, Seed: *seed}
 	if *bench {
-		if err := runBench(kernels, cfg, *workers, *benchOut, *cpuProf, *memProf, scheds, *sweep); err != nil {
+		if err := runBench(kernels, cfg, *workers, *benchOut, *cpuProf, *memProf, *sweep); err != nil {
 			fmt.Fprintf(os.Stderr, "helium: bench: %v\n", err)
 			os.Exit(1)
 		}
@@ -180,7 +161,7 @@ func main() {
 
 	failed := false
 	for _, k := range kernels {
-		if err := run(k, cfg, *backend, *workers, *verbose, *strict, scheds.For(k.Name)); err != nil {
+		if err := run(k, cfg, *backend, *workers, *verbose, *strict); err != nil {
 			fmt.Fprintf(os.Stderr, "helium: %s: %v\n", k.Name, err)
 			failed = true
 		}
@@ -190,45 +171,28 @@ func main() {
 	}
 }
 
-// loadSchedules reads the tuned schedule set.  A missing file is fine —
-// heuristic defaults apply, the set is an optimization — but a file that
-// exists and fails to parse or validate is an error: silently ignoring a
-// corrupt schedules.json would bench and generate against defaults while
-// claiming to use the tuned set.
+// loadSchedules reads the tuned schedule set `helium gen` bakes into the
+// generated package.  A missing file is fine — heuristic defaults apply,
+// the set is an optimization — but a file that exists and fails to parse
+// or validate is an error: silently ignoring a corrupt schedules.json
+// would generate against defaults while claiming to use the tuned set.
 //
-// A schedule is a measurement only on the machine class that timed it.
-// When the set is about to drive execution (forExec) and was tuned
-// elsewhere, it is dropped in favor of the heuristic defaults with the
-// reason printed — or, under -strict, refused outright.  Analysis
-// consumers (gen, bench) keep it with a warning: gen's artifact must not
-// depend on the build host, and bench wants cross-machine comparability.
-func loadSchedules(path string, verbose, forExec, strict bool) (*schedule.Set, error) {
+// A schedule is a measurement only on the machine class that timed it,
+// but gen's artifact must not depend on the build host: a set tuned
+// elsewhere is applied with a warning.
+func loadSchedules(path string) (*schedule.Set, error) {
 	set, err := schedule.Load(path)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
-			if verbose {
-				fmt.Printf("schedules: %s not found; using heuristic defaults\n", path)
-			}
 			return nil, nil
 		}
 		return nil, err
 	}
-	host := schedule.HostMachineKey()
-	if set.MatchesMachine(host) && !faultpoint.Enabled(fpSchedMismatch) {
-		return set, nil
-	}
-	if !forExec {
+	if host := schedule.HostMachineKey(); !set.MatchesMachine(host) {
 		fmt.Fprintf(os.Stderr, "helium: warning: %s was tuned on machine class %s; this host is %s (re-run `helium tune` to re-measure)\n",
 			path, set.Machine, host)
-		return set, nil
 	}
-	if strict {
-		return nil, fmt.Errorf("%s was tuned on machine class %s but this host is %s (running -strict: re-run `helium tune`)",
-			path, set.Machine, host)
-	}
-	fmt.Printf("fallback: %s was tuned on machine class %s but this host is %s; using heuristic default schedules (re-run `helium tune` to re-measure)\n",
-		path, set.Machine, host)
-	return nil, nil
+	return set, nil
 }
 
 func target(inst *legacy.Instance) lift.Target {
@@ -317,7 +281,7 @@ func backendChain(backend string) []string {
 	}
 }
 
-func run(k legacy.Kernel, cfg legacy.Config, backend string, workers int, verbose, strict bool, tuned *schedule.Schedule) error {
+func run(k legacy.Kernel, cfg legacy.Config, backend string, workers int, verbose, strict bool) error {
 	inst := k.Instantiate(cfg)
 
 	fmt.Printf("=== %s (%s)\n", k.Name, cfg)
@@ -355,7 +319,7 @@ func run(k legacy.Kernel, cfg legacy.Config, backend string, workers int, verbos
 	}
 
 	for i, be := range chain {
-		err := runBackend(be, k, inst, res, workers, verbose, tuned)
+		err := runBackend(be, k, inst, res, workers, verbose)
 		if err == nil {
 			return nil
 		}
@@ -373,7 +337,7 @@ func run(k legacy.Kernel, cfg legacy.Config, backend string, workers int, verbos
 // runBackend verifies one backend and prints its success line.  The
 // terminal "vm" backend re-emulates the binary and checks its output
 // against the instance's pure-Go reference, needing no lifted result.
-func runBackend(be string, k legacy.Kernel, inst *legacy.Instance, res *lift.Result, workers int, verbose bool, tuned *schedule.Schedule) error {
+func runBackend(be string, k legacy.Kernel, inst *legacy.Instance, res *lift.Result, workers int, verbose bool) error {
 	switch be {
 	case "interp":
 		if err := res.Verify(); err != nil {
@@ -397,20 +361,6 @@ func runBackend(be string, k legacy.Kernel, inst *legacy.Instance, res *lift.Res
 			}
 			fmt.Printf("compiled: %d instruction(s), %d pooled constant(s), %d tap(s) across %d channel program(s) in %d stage(s), lane bits %v\n",
 				insts, consts, loads, len(progs), len(res.Stages), lanes)
-		}
-		if tuned != nil {
-			if err := ck.VerifySchedule(tuned); err != nil {
-				return err
-			}
-			if verbose {
-				line := fmt.Sprintf("schedule: tuned [%s] verified", tuned)
-				if tuned.FusionKind() == schedule.SlidingWindow {
-					if rings, err := ck.RingRows(tuned.WindowRows); err == nil {
-						line += fmt.Sprintf(", intermediate ring rows %v", rings)
-					}
-				}
-				fmt.Println(line)
-			}
 		}
 		fmt.Printf("verified: %d samples pixel-exact (compiled backend, serial + %d workers)\n\n",
 			res.Samples, ck.Workers(workers))
@@ -460,7 +410,7 @@ func runGen(args []string) error {
 		return err
 	}
 
-	scheds, err := loadSchedules(*schedPath, false, false, false)
+	scheds, err := loadSchedules(*schedPath)
 	if err != nil {
 		return err
 	}
@@ -546,9 +496,6 @@ type benchEntry struct {
 	// "how long until this binary serves" half of the report, next to the
 	// steady-state ns_per_sample half.
 	LiftPhases map[string]float64 `json:"lift_phases,omitempty"`
-	// Schedule is the tuned schedule the "scheduled" backend ran (JSON of
-	// schedule.Schedule; omitted for reduction-only kernels).
-	Schedule *schedule.Schedule `json:"schedule,omitempty"`
 	// Sweeps maps the GOMAXPROCS value the sweep ran under to worker-count
 	// rows of per-backend ns/sample — scaling curves keyed by the
 	// parallelism actually available, so a 1-core container's flat curve
@@ -562,16 +509,13 @@ type benchReport struct {
 	MaxProcs int          `json:"gomaxprocs"`
 	CPUs     int          `json:"cpus"`
 	Machine  string       `json:"machine"`
-	Workers  int          `json:"workers"`
 	Kernels  []benchEntry `json:"kernels"`
 }
 
 // benchBackends is the timing matrix, in report order: VM emulation, the
 // tree-walking interpreter, the serial row-vectorized register executor,
-// the cache-blocked tiled parallel driver, the tiled driver under the
-// tuned schedule, and the ahead-of-time generated Go code
-// (single-threaded).
-var benchBackends = []string{"vm", "interp", "compiled", "compiled-tiled", "scheduled", "generated"}
+// and the ahead-of-time generated Go code under its tuned schedule.
+var benchBackends = []string{"vm", "interp", "compiled", "generated"}
 
 // sweepWorkers parses the -workers-sweep flag: a comma list of counts, or
 // "auto" for powers of two up to GOMAXPROCS (always including GOMAXPROCS
@@ -640,12 +584,11 @@ func timeIt(fn func() error) (float64, error) {
 }
 
 // runBench lifts each kernel once, verifies every backend, then times VM
-// emulation, the tree-walking interpreter, the compiled backend (serial,
-// cache-blocked parallel, and under the tuned schedule), and the
-// generated Go code over the same image, writing ns-per-sample per kernel
-// per backend — plus a worker-count sweep of the parallel backends — to
-// the JSON report.
-func runBench(kernels []legacy.Kernel, cfg legacy.Config, workers int, outPath, cpuProf, memProf string, scheds *schedule.Set, sweepSpec string) error {
+// emulation, the tree-walking interpreter, the serial compiled backend
+// and the generated Go code under its tuned schedule over the same image,
+// writing ns-per-sample per kernel per backend — plus a worker-count
+// sweep of the generated backend — to the JSON report.
+func runBench(kernels []legacy.Kernel, cfg legacy.Config, workers int, outPath, cpuProf, memProf string, sweepSpec string) error {
 	sweep, err := sweepWorkers(sweepSpec)
 	if err != nil {
 		return err
@@ -693,14 +636,13 @@ func runBench(kernels []legacy.Kernel, cfg legacy.Config, workers int, outPath, 
 			return fmt.Errorf("%s: %w", k.Name, err)
 		}
 		samples := len(want)
-		report.Workers = ck.Workers(workers)
-
-		tuned := scheds.For(k.Name)
-		if tuned == nil {
-			tuned = schedule.Default()
+		gsc := new(liftedkernels.Scratch)
+		got, err := gk.EvalTunedInto(gsc, img, outW, outH)
+		if err != nil {
+			return fmt.Errorf("%s: tuned generated eval: %w", k.Name, err)
 		}
-		if err := ck.VerifySchedule(tuned); err != nil {
-			return fmt.Errorf("%s: %w", k.Name, err)
+		if !bytes.Equal(got, want) {
+			return fmt.Errorf("%s: tuned generated output (schedule %+v) differs from the VM's", k.Name, gk.Sched)
 		}
 
 		m := vm.NewMachine(inst.Prog)
@@ -717,16 +659,8 @@ func runBench(kernels []legacy.Kernel, cfg legacy.Config, workers int, outPath, 
 				_, err := ck.EvalAt(src, outW, outH)
 				return err
 			},
-			"compiled-tiled": func() error {
-				_, err := ck.EvalParallelAt(src, outW, outH, workers)
-				return err
-			},
-			"scheduled": func() error {
-				_, err := ck.EvalScheduledAt(src, outW, outH, tuned)
-				return err
-			},
 			"generated": func() error {
-				_, err := gk.Eval(img, outW, outH)
+				_, err := gk.EvalTunedInto(gsc, img, outW, outH)
 				return err
 			},
 		}
@@ -752,9 +686,6 @@ func runBench(kernels []legacy.Kernel, cfg legacy.Config, workers int, outPath, 
 		for _, pt := range res.PhaseTimes {
 			entry.LiftPhases[string(pt.Phase)] += float64(pt.Dur.Nanoseconds()) / 1e6
 		}
-		if !isRed {
-			entry.Schedule = tuned
-		}
 		for _, name := range backends {
 			ns, err := timeIt(runs[name])
 			if err != nil {
@@ -762,43 +693,23 @@ func runBench(kernels []legacy.Kernel, cfg legacy.Config, workers int, outPath, 
 			}
 			entry.NsPerSample[name] = ns / float64(samples)
 		}
-		// Worker sweep: the parallel backends re-timed at each worker
-		// count, keyed by the GOMAXPROCS the sweep ran under — scaling
-		// curves only when the machine has the cores (a 1-core container's
-		// curve is flat and honestly labeled "1").
+		// Worker sweep: the generated backend re-timed under its tuned
+		// schedule at each worker count, keyed by the GOMAXPROCS the sweep
+		// ran under — scaling curves only when the machine has the cores
+		// (a 1-core container's curve is flat and honestly labeled "1").
 		if !isRed {
-			gsc := new(liftedkernels.Scratch)
 			rows := map[string]map[string]float64{}
 			for _, w := range sweep {
-				row := map[string]float64{}
+				gspec := gk.Sched
+				gspec.Workers = w
 				ns, err := timeIt(func() error {
-					_, err := ck.EvalParallelAt(src, outW, outH, w)
-					return err
-				})
-				if err != nil {
-					return fmt.Errorf("%s/compiled-tiled@%d: %w", k.Name, w, err)
-				}
-				row["compiled-tiled"] = ns / float64(samples)
-				wsc := *tuned
-				wsc.Workers = w
-				ns, err = timeIt(func() error {
-					_, err := ck.EvalScheduledAt(src, outW, outH, &wsc)
-					return err
-				})
-				if err != nil {
-					return fmt.Errorf("%s/scheduled@%d: %w", k.Name, w, err)
-				}
-				row["scheduled"] = ns / float64(samples)
-				gspec := liftedkernels.ScheduleSpec{Workers: w, Fusion: gk.Sched.Fusion, WindowRows: gk.Sched.WindowRows, Stages: gk.Sched.Stages}
-				ns, err = timeIt(func() error {
 					_, err := gk.EvalInto(gsc, img, outW, outH, gspec)
 					return err
 				})
 				if err != nil {
 					return fmt.Errorf("%s/generated@%d: %w", k.Name, w, err)
 				}
-				row["generated"] = ns / float64(samples)
-				rows[fmt.Sprint(w)] = row
+				rows[fmt.Sprint(w)] = map[string]float64{"generated": ns / float64(samples)}
 			}
 			entry.Sweeps = map[string]map[string]map[string]float64{
 				fmt.Sprint(report.MaxProcs): rows,
@@ -815,12 +726,10 @@ func runBench(kernels []legacy.Kernel, cfg legacy.Config, workers int, outPath, 
 		if g := entry.NsPerSample["generated"]; g > 0 {
 			genVsCompiled = entry.NsPerSample["compiled"] / g
 		}
-		fmt.Printf("%-10s %7d samples   vm %9.1f   interp %7.2f   compiled %6.2f   tiled %6.2f   scheduled %6.2f   generated %6.2f  ns/sample  (generated %0.1fx interp, %0.1fx compiled)\n",
+		fmt.Printf("%-10s %7d samples   vm %9.1f   interp %7.2f   compiled %6.2f   generated %6.2f  ns/sample  (generated %0.1fx interp, %0.1fx compiled)\n",
 			k.Name, samples,
 			entry.NsPerSample["vm"], entry.NsPerSample["interp"],
-			entry.NsPerSample["compiled"], entry.NsPerSample["compiled-tiled"],
-			entry.NsPerSample["scheduled"],
-			entry.NsPerSample["generated"],
+			entry.NsPerSample["compiled"], entry.NsPerSample["generated"],
 			entry.Speedup["generated"], genVsCompiled)
 	}
 

@@ -32,12 +32,11 @@ func captureStderr(t *testing.T, fn func()) string {
 }
 
 // TestLoadSchedulesFileStates is the table over every schedules.json
-// state a deployment can hand the CLI — missing, empty, malformed,
-// invalid, unstamped, same-machine, other-machine — crossed with the two
-// consumer roles: executing consumers (`helium run`) must never apply a
-// set tuned elsewhere (drop with the reason printed, or refuse under
-// -strict), while analysis consumers (`helium gen`, `helium bench`)
-// warn-and-apply so artifacts stay byte-stable across build hosts.
+// state a checkout can hand `helium gen` — missing, empty, malformed,
+// invalid, unstamped, same-machine, other-machine.  Corrupt sets are
+// fatal; a set tuned on another machine class is applied with a warning
+// on stderr, so the generated package stays byte-stable across build
+// hosts.
 func TestLoadSchedulesFileStates(t *testing.T) {
 	// The host key is dynamic; render the fixture against the real one.
 	hostSet := `{"machine":"` + schedule.HostMachineKey() + `","kernels":{"brighten":{"workers":1}}}`
@@ -47,17 +46,13 @@ func TestLoadSchedulesFileStates(t *testing.T) {
 		content string // file body; "" with missing=true means no file
 		missing bool
 
-		wantErr     bool // parse/validation failure: fatal for every consumer
-		wantExecSet bool // forExec keeps the set
-		wantAnaSet  bool // analysis keeps the set
-		wantStrict  bool // forExec -strict errors even where plain exec degrades
-		stdoutHas   string
-		stderrHas   string
+		wantErr   bool // parse/validation failure
+		wantSet   bool // the set is kept
+		stderrHas string
 	}{
 		{
-			name:        "missing file",
-			missing:     true,
-			wantExecSet: false, wantAnaSet: false,
+			name:    "missing file",
+			missing: true,
 		},
 		{
 			name:    "empty file",
@@ -75,26 +70,27 @@ func TestLoadSchedulesFileStates(t *testing.T) {
 			wantErr: true,
 		},
 		{
+			// Per-stage lane widths are not a schedule knob: a set naming
+			// one is rejected, not silently half-applied.
 			name:    "invalid lane width",
 			content: `{"kernels":{"brighten":{"stages":[{"lane":13}]}}}`,
 			wantErr: true,
 		},
 		{
-			name:        "unstamped set matches anywhere",
-			content:     `{"kernels":{"brighten":{"workers":1}}}`,
-			wantExecSet: true, wantAnaSet: true,
+			name:    "unstamped set matches anywhere",
+			content: `{"kernels":{"brighten":{"workers":1}}}`,
+			wantSet: true,
 		},
 		{
-			name:        "same machine class",
-			content:     hostSet,
-			wantExecSet: true, wantAnaSet: true,
+			name:    "same machine class",
+			content: hostSet,
+			wantSet: true,
 		},
 		{
-			name:        "other machine class",
-			content:     `{"machine":"64c/512b","kernels":{"brighten":{"workers":32}}}`,
-			wantExecSet: false, wantAnaSet: true, wantStrict: true,
-			stdoutHas: "machine class 64c/512b",
-			stderrHas: "warning",
+			name:      "other machine class",
+			content:   `{"machine":"64c/512b","kernels":{"brighten":{"workers":32}}}`,
+			wantSet:   true,
+			stderrHas: "machine class 64c/512b",
 		},
 	}
 	for _, tc := range cases {
@@ -105,61 +101,30 @@ func TestLoadSchedulesFileStates(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-
+			var (
+				set *schedule.Set
+				err error
+			)
+			stderr := captureStderr(t, func() { set, err = loadSchedules(path) })
 			if tc.wantErr {
-				// Corrupt sets are fatal for every consumer: silently
-				// benching or generating against defaults while claiming
-				// the tuned set would be worse than stopping.
-				for _, forExec := range []bool{true, false} {
-					if _, err := loadSchedules(path, false, forExec, false); err == nil {
-						t.Errorf("forExec=%v accepted the corrupt set", forExec)
-					}
+				// Silently generating against defaults while claiming the
+				// tuned set would be worse than stopping.
+				if err == nil {
+					t.Error("corrupt set accepted")
 				}
 				return
 			}
-
-			// Executing consumer (`helium run`).
-			stdout := captureStdout(t, func() {
-				set, err := loadSchedules(path, false, true, false)
-				if err != nil {
-					t.Errorf("forExec: unexpected error: %v", err)
-				}
-				if (set != nil) != tc.wantExecSet {
-					t.Errorf("forExec kept set: %v, want %v", set != nil, tc.wantExecSet)
-				}
-			})
-			if !tc.wantExecSet && !tc.missing {
-				// A dropped set must say why on stdout, next to the run's
-				// own backend report.
-				if !strings.Contains(stdout, "fallback:") || !strings.Contains(stdout, tc.stdoutHas) {
-					t.Errorf("drop reason not printed:\nstdout: %q", stdout)
-				}
+			if err != nil {
+				t.Fatalf("unexpected error: %v", err)
 			}
-
-			// Executing consumer under -strict: refuse instead of degrade.
-			_, strictErr := loadSchedules(path, false, true, true)
-			if (strictErr != nil) != tc.wantStrict {
-				t.Errorf("strict error = %v, want error: %v", strictErr, tc.wantStrict)
+			if (set != nil) != tc.wantSet {
+				t.Errorf("kept set: %v, want %v", set != nil, tc.wantSet)
 			}
-			if tc.wantStrict && !strings.Contains(strictErr.Error(), "-strict") {
-				t.Errorf("strict refusal does not name the mode: %v", strictErr)
+			if tc.stderrHas != "" && (!strings.Contains(stderr, "warning") || !strings.Contains(stderr, tc.stderrHas)) {
+				t.Errorf("warning missing %q:\nstderr: %q", tc.stderrHas, stderr)
 			}
-
-			// Analysis consumer (`helium gen`/`bench`): warn-and-apply.
-			anaErr := captureStderr(t, func() {
-				set, err := loadSchedules(path, false, false, false)
-				if err != nil {
-					t.Errorf("analysis: unexpected error: %v", err)
-				}
-				if (set != nil) != tc.wantAnaSet {
-					t.Errorf("analysis kept set: %v, want %v", set != nil, tc.wantAnaSet)
-				}
-			})
-			if tc.stderrHas != "" && !strings.Contains(anaErr, tc.stderrHas) {
-				t.Errorf("analysis warning missing %q:\nstderr: %q", tc.stderrHas, anaErr)
-			}
-			if tc.stderrHas == "" && strings.Contains(anaErr, "warning") {
-				t.Errorf("analysis warned about a clean set:\nstderr: %q", anaErr)
+			if tc.stderrHas == "" && stderr != "" {
+				t.Errorf("warned about a clean set:\nstderr: %q", stderr)
 			}
 		})
 	}

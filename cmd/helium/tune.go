@@ -1,12 +1,14 @@
 // The autotuner: search the schedule space per corpus kernel and commit
 // the winners.  This is the practical payoff of the algorithm/schedule
 // split — the lifted kernel fixes WHAT to compute, `helium tune` measures
-// candidate strategies (tile extents, worker counts, lane widths,
-// materialize vs sliding-window fusion) and records the fastest one in
-// schedules.json, which `helium run`, `helium -bench`, `helium gen` and
-// the generated package then consume.  The heuristic default is always
-// candidate zero, so a tuned schedule is never slower than the previous
-// hard-coded strategy on the machine that tuned it.
+// candidate strategies (tile extents, worker counts, materialize vs
+// sliding-window fusion) on the generated runtime, the backend that
+// serves, and records the fastest one in schedules.json, which
+// `helium gen` bakes into the generated package as each kernel's default
+// schedule.  Every candidate is verified byte for byte against the
+// legacy binary's own output before it is timed, and the heuristic
+// default is always candidate zero, so a tuned schedule is never slower
+// than the previous hard-coded strategy on the machine that tuned it.
 package main
 
 import (
@@ -18,6 +20,7 @@ import (
 
 	"helium/internal/legacy"
 	"helium/internal/lift"
+	"helium/internal/liftedkernels"
 	"helium/internal/schedule"
 )
 
@@ -106,41 +109,60 @@ func max64f(v, lo float64) float64 {
 	return v
 }
 
-// tuneKernel lifts one kernel, verifies it, and races the candidate grid.
-// maxWorkers caps the worker-count search; 0 searches up to GOMAXPROCS.
+// tuneKernel lifts one kernel and races the candidate grid through the
+// kernel's generated code.  maxWorkers caps the worker-count search; 0
+// searches up to GOMAXPROCS.
 func tuneKernel(k legacy.Kernel, cfg legacy.Config, smoke bool, maxWorkers int) (*tuneResult, error) {
 	inst := k.Instantiate(cfg)
 	res, err := lift.Lift(k.Name, target(inst))
 	if err != nil {
 		return nil, err
 	}
-	c, err := res.VerifyCompiled(0)
+	gk, ok := liftedkernels.Lookup(k.Name)
+	if !ok {
+		return nil, fmt.Errorf("kernel %q is not in internal/liftedkernels (run `helium gen`)", k.Name)
+	}
+	img, ok := genImage(res.MaterializeInput())
+	if !ok {
+		return nil, fmt.Errorf("kernel %q input cannot be materialized as a flat image", k.Name)
+	}
+	want, err := res.VMOutput()
 	if err != nil {
 		return nil, err
+	}
+	outW, outH := res.EvalDims()
+	samples := float64(len(want))
+	sc := new(liftedkernels.Scratch)
+	// run evaluates one candidate and demands the VM's bytes.
+	run := func(cand *schedule.Schedule, spec liftedkernels.ScheduleSpec) func() error {
+		return func() error {
+			got, err := gk.EvalInto(sc, img, outW, outH, spec)
+			if err != nil {
+				return fmt.Errorf("schedule %s: %w", cand, err)
+			}
+			if !bytes.Equal(got, want) {
+				return fmt.Errorf("schedule %s changed the output", cand)
+			}
+			return nil
+		}
 	}
 
 	// Reduction-only pipelines have no schedulable stencil work: the
 	// scatter update runs serially whatever the schedule says, so the
-	// default schedule is recorded as-is.
+	// default schedule is verified, timed and recorded as-is.
 	onlyReductions := true
 	for i := range res.Stages {
 		if res.Stages[i].Kernel != nil {
 			onlyReductions = false
 		}
 	}
-	outW, outH := res.EvalDims()
 	if onlyReductions {
-		sc := schedule.Default()
-		src := res.MaterializeInput()
-		ns, err := timeIt(func() error {
-			_, err := c.EvalScheduledAt(src, outW, outH, sc)
-			return err
-		})
+		def := schedule.Default()
+		ns, err := timeIt(run(def, genSpec(def)))
 		if err != nil {
 			return nil, err
 		}
-		perSample := ns / float64(outW*outH)
-		return &tuneResult{kernel: k.Name, sched: sc, bestNs: perSample, defaultNs: perSample, candidates: 1}, nil
+		return &tuneResult{kernel: k.Name, sched: def, bestNs: ns / samples, defaultNs: ns / samples, candidates: 1}, nil
 	}
 
 	if maxWorkers <= 0 {
@@ -153,45 +175,33 @@ func tuneKernel(k legacy.Kernel, cfg legacy.Config, smoke bool, maxWorkers int) 
 		MaxWorkers: maxWorkers,
 		Smoke:      smoke,
 	}
-	if c.Fusable() {
-		opts.Stages = len(res.Stages)
-		if rings, err := c.RingRows(0); err == nil && len(rings) > 0 {
-			// The smallest per-gap window: candidates at or below it are
-			// minimal on every gap (see GridOpts.MinWindow).
-			opts.MinWindow = rings[0]
-			for _, r := range rings[1:] {
-				opts.MinWindow = min(opts.MinWindow, r)
+	// Fusion candidates only for pipelines the runtime streams: two or
+	// more stages its sliding-window validation accepts.
+	if len(gk.Stages) >= 2 {
+		if _, err := gk.EvalInto(sc, img, outW, outH, liftedkernels.ScheduleSpec{Workers: 1, Fusion: string(schedule.SlidingWindow)}); err == nil {
+			opts.Stages = len(gk.Stages)
+			// The smallest per-gap window — each consumer's recorded row
+			// footprint: candidates at or below it are minimal on every gap
+			// (see GridOpts.MinWindow).
+			opts.MinWindow = gk.Stages[1].MaxDY - gk.Stages[1].MinDY + 1
+			for _, st := range gk.Stages[2:] {
+				opts.MinWindow = min(opts.MinWindow, st.MaxDY-st.MinDY+1)
 			}
 		}
 	}
 	grid := schedule.Grid(opts)
-
-	src := res.MaterializeInput()
-	want, err := res.VMOutput()
-	if err != nil {
-		return nil, err
-	}
-	samples := float64(len(want))
 
 	r := &tuneResult{kernel: k.Name, candidates: len(grid)}
 	for i, cand := range grid {
 		if err := cand.Validate(len(res.Stages)); err != nil {
 			return nil, fmt.Errorf("candidate %s: %w", cand, err)
 		}
-		run := func() error {
-			got, err := c.EvalScheduledAt(src, outW, outH, cand)
-			if err != nil {
-				return err
-			}
-			if !bytes.Equal(got, want) {
-				return fmt.Errorf("schedule %s changed the output", cand)
-			}
-			return nil
-		}
-		// Early pruning: one quick probe; a candidate already far behind
-		// the leader is not worth steady-state timing.
+		fn := run(cand, genSpec(cand))
+		// Early pruning: one quick probe (which also verifies the
+		// candidate); a candidate already far behind the leader is not
+		// worth steady-state timing.
 		start := time.Now()
-		if err := run(); err != nil {
+		if err := fn(); err != nil {
 			return nil, err
 		}
 		// r.sched is nil until the first candidate is timed, so the
@@ -201,7 +211,7 @@ func tuneKernel(k legacy.Kernel, cfg legacy.Config, smoke bool, maxWorkers int) 
 			r.pruned++
 			continue
 		}
-		ns, err := timeIt(run)
+		ns, err := timeIt(fn)
 		if err != nil {
 			return nil, err
 		}
@@ -214,4 +224,14 @@ func tuneKernel(k legacy.Kernel, cfg legacy.Config, smoke bool, maxWorkers int) 
 		}
 	}
 	return r, nil
+}
+
+// genSpec translates a schedule into the generated runtime's form — the
+// same fields `helium gen` embeds as a kernel's default.
+func genSpec(sc *schedule.Schedule) liftedkernels.ScheduleSpec {
+	spec := liftedkernels.ScheduleSpec{Workers: sc.Workers, Fusion: string(sc.FusionKind()), WindowRows: sc.WindowRows}
+	for _, st := range sc.Stages {
+		spec.Stages = append(spec.Stages, liftedkernels.StageSched{TileW: st.TileW, TileH: st.TileH})
+	}
+	return spec
 }

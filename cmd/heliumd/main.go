@@ -9,10 +9,9 @@
 //
 // Usage:
 //
-//	heliumd [-addr :8080] [-schedules schedules.json] [-workers N]
-//	        [-queue N] [-per-kernel N] [-timeout 10s] [-drain 10s]
-//	        [-warm] [-eval-workers N] [-fault-slow 25ms]
-//	        [-log-level info] [-pprof]
+//	heliumd [-addr :8080] [-workers N] [-queue N] [-per-kernel N]
+//	        [-timeout 10s] [-drain 10s] [-warm] [-eval-workers N]
+//	        [-fault-slow 25ms] [-log-level info] [-pprof]
 //	heliumd -ref -kernel name [-width N] [-height N] [-seed N]
 //	heliumd -bench [-bench-out BENCH_serve.json] [-bench-kernel name]
 //	        [-bench-levels 1,4,16] [-bench-requests N]
@@ -55,14 +54,12 @@ import (
 	"time"
 
 	"helium/internal/obs"
-	"helium/internal/schedule"
 	"helium/internal/serve"
 )
 
 func main() {
 	var (
 		addr      = flag.String("addr", ":8080", "listen address")
-		schedPath = flag.String("schedules", "schedules.json", "tuned schedule set (missing file = heuristic defaults)")
 		workers   = flag.Int("workers", 0, "execution pool size (0 = GOMAXPROCS)")
 		queue     = flag.Int("queue", 64, "admission queue depth (full queue sheds with 503)")
 		perKernel = flag.Int("per-kernel", 0, "per-kernel concurrency limit (0 = pool size)")
@@ -91,13 +88,7 @@ func main() {
 	flag.Parse()
 
 	log := obs.NewLogger(os.Stderr, obs.ParseLevel(*logLevel))
-	scheds, err := loadSchedules(*schedPath, log)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "heliumd: %v\n", err)
-		os.Exit(1)
-	}
 	opts := serve.Options{
-		Schedules:        scheds,
 		Workers:          *workers,
 		QueueDepth:       *queue,
 		PerKernel:        *perKernel,
@@ -201,27 +192,6 @@ func run(opts serve.Options, addr string, warm bool, log *obs.Logger) error {
 		fmt.Println("heliumd: drained, bye")
 		return <-done
 	}
-}
-
-// loadSchedules mirrors the CLI's exec-consumer policy: a missing file
-// means heuristic defaults, a parse failure is fatal, and a set tuned on
-// another machine class is dropped with the reason logged to stderr
-// (the server executes; it must not apply stale tuning — and stdout
-// stays clean for payload bytes).
-func loadSchedules(path string, log *obs.Logger) (*schedule.Set, error) {
-	set, err := schedule.Load(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	if host := schedule.HostMachineKey(); !set.MatchesMachine(host) {
-		log.Warn("dropping schedules: machine mismatch (re-run `helium tune`)",
-			"path", path, "tuned_for", set.Machine, "host", host)
-		return nil, nil
-	}
-	return set, nil
 }
 
 func parseLevels(s string) ([]int, error) {

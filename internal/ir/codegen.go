@@ -551,8 +551,7 @@ func emitRowSet(b *strings.Builder, fg *fileGen, what string, ck *CompiledKernel
 // from the reference serial-materialize strategy.  Workers, fusion,
 // window and per-stage tile extents embed (tiles drive the generated
 // runtime's cache-blocked driver and, at one worker, the baked serial
-// tile nest); lane overrides have no counterpart in generated code — the
-// row loops are fully inlined at fixed lanes — so they do not embed.
+// tile nest).
 func emitSched(b *strings.Builder, sc *schedule.Schedule) {
 	if sc == nil {
 		return
@@ -675,6 +674,53 @@ func genKernel(b *strings.Builder, fg *fileGen, k *Kernel, ck *CompiledKernel, s
 	fmt.Fprintf(b, "\t})\n}\n\n")
 	b.WriteString(fns.String())
 	return nil
+}
+
+// fuseGeom is a stage's read footprint, the geometry the generated
+// runtime's sliding-window driver sizes its rings by: the rows and
+// columns of the stage's input that its whole output row y (respectively
+// column x) depends on, origins applied.
+type fuseGeom struct {
+	loY, hiY int // input rows read for output row y: [y+loY, y+hiY]
+	loX, hiX int // input columns read for output column x: [x+loX, x+hiX]
+}
+
+// readFootprint collects the kernel's tap bounds across every channel
+// program, including taps fused into sums.  Dead instructions are skipped
+// exactly as the executors skip them (fault-capable loads are never
+// marked dead, so no observable tap is missed).
+func (ck *CompiledKernel) readFootprint() fuseGeom {
+	minDX, maxDX, minDY, maxDY := 0, 0, 0, 0
+	first := true
+	see := func(dx, dy int32) {
+		if first {
+			minDX, maxDX, minDY, maxDY = int(dx), int(dx), int(dy), int(dy)
+			first = false
+			return
+		}
+		minDX, maxDX = min(minDX, int(dx)), max(maxDX, int(dx))
+		minDY, maxDY = min(minDY, int(dy)), max(maxDY, int(dy))
+	}
+	for _, p := range ck.Progs {
+		for i := range p.insts {
+			in := &p.insts[i]
+			if in.dead {
+				continue
+			}
+			switch in.op {
+			case OpLoad:
+				see(in.dx, in.dy)
+			case opSumTaps:
+				for _, t := range in.taps {
+					see(t.dx, t.dy)
+				}
+			}
+		}
+	}
+	return fuseGeom{
+		loY: ck.OriginY + minDY, hiY: ck.OriginY + maxDY,
+		loX: ck.OriginX + minDX, hiX: ck.OriginX + maxDX,
+	}
 }
 
 // emitFusedDriver writes the footprint-specialized sliding-window strip

@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -51,8 +52,24 @@ func TestGenerateRejectsDuplicateNames(t *testing.T) {
 // genHarness materializes a module holding the generated package plus a
 // main that evaluates every kernel against the embedded differential plane
 // and prints one tab-separated line per kernel: name, OK/ERR, hex output
-// or error text.
+// or error text.  Alongside the serial reference Eval, every kernel
+// re-runs under non-default schedules (worker strips; sliding-window
+// fusion for multi-stage kernels) and the harness itself asserts the
+// result — values or error text — is identical.
 func genHarness(t *testing.T, dir, kernelsSrc string, plane *image.Plane) {
+	t.Helper()
+	genHarnessWith(t, dir, kernelsSrc, map[string]*image.Plane{"": plane}, `
+	{Workers: 3},
+	{Workers: 2, Fusion: "slidingWindow", WindowRows: 2},
+	{Workers: 1, Fusion: "slidingWindow"},
+`)
+}
+
+// genHarnessWith is genHarness with per-kernel input planes — planes[""]
+// is the shared plane, any other key gives the kernel of that name its
+// own — and scheds, the Go body of the []lk.ScheduleSpec literal every
+// kernel re-runs under.
+func genHarnessWith(t *testing.T, dir, kernelsSrc string, planes map[string]*image.Plane, scheds string) {
 	t.Helper()
 	write := func(rel, content string) {
 		t.Helper()
@@ -68,35 +85,32 @@ func genHarness(t *testing.T, dir, kernelsSrc string, plane *image.Plane) {
 	write("lk/runtime.go", GenerateRuntime("liftedkernels"))
 	write("lk/kernels.go", kernelsSrc)
 
-	pix, base, stride := plane.Flat()
 	var b strings.Builder
 	b.WriteString("package main\n\nimport (\n\t\"bytes\"\n\t\"fmt\"\n\t\"encoding/hex\"\n\n\tlk \"gentest/lk\"\n)\n\n")
-	fmt.Fprintf(&b, "var pix = []byte{")
-	for i, v := range pix {
-		if i%16 == 0 {
-			b.WriteString("\n\t")
-		}
-		fmt.Fprintf(&b, "%#04x, ", v)
+	names := make([]string, 0, len(planes))
+	for name := range planes {
+		names = append(names, name)
 	}
-	b.WriteString("\n}\n\n")
-	// Alongside the serial reference Eval, every kernel re-runs under
-	// non-default schedules (worker strips; sliding-window fusion for
-	// multi-stage kernels) and the harness itself asserts the result —
-	// values or error text — is identical.
-	fmt.Fprintf(&b, `var scheds = []lk.ScheduleSpec{
-	{Workers: 3},
-	{Workers: 2, Fusion: "slidingWindow", WindowRows: 2},
-	{Workers: 1, Fusion: "slidingWindow"},
-}
-
+	sort.Strings(names)
+	b.WriteString("var planes = map[string]*lk.Image{\n")
+	for _, name := range names {
+		pix, base, stride := planes[name].Flat()
+		fmt.Fprintf(&b, "\t%q: {Pix: []byte(%q), Base: %d, Stride: %d, PixStep: 1},\n", name, pix, base, stride)
+	}
+	b.WriteString("}\n\n")
+	fmt.Fprintf(&b, "var scheds = []lk.ScheduleSpec{%s}\n", scheds)
+	b.WriteString(`
 func main() {
-	img := &lk.Image{Pix: pix, Base: %d, Stride: %d, PixStep: 1, ChanStep: 0}
 	for _, k := range lk.Kernels() {
+		img, ok := planes[k.Name]
+		if !ok {
+			img = planes[""]
+		}
 		out, err := k.Eval(img, k.DefaultWidth, k.DefaultHeight)
 		if err != nil {
-			fmt.Printf("%%s\tERR\t%%s\n", k.Name, err)
+			fmt.Printf("%s\tERR\t%s\n", k.Name, err)
 		} else {
-			fmt.Printf("%%s\tOK\t%%s\n", k.Name, hex.EncodeToString(out))
+			fmt.Printf("%s\tOK\t%s\n", k.Name, hex.EncodeToString(out))
 		}
 		for si, spec := range scheds {
 			if spec.Fusion == "slidingWindow" && len(k.Stages) < 2 {
@@ -106,17 +120,17 @@ func main() {
 			status, detail := "OK", ""
 			switch {
 			case err != nil && (gerr == nil || gerr.Error() != err.Error()):
-				status, detail = "BAD", fmt.Sprintf("error %%v, want %%v", gerr, err)
+				status, detail = "BAD", fmt.Sprintf("error %v, want %v", gerr, err)
 			case err == nil && gerr != nil:
-				status, detail = "BAD", fmt.Sprintf("unexpected error %%v", gerr)
+				status, detail = "BAD", fmt.Sprintf("unexpected error %v", gerr)
 			case err == nil && !bytes.Equal(got, out):
 				status, detail = "BAD", "output differs from Eval"
 			}
-			fmt.Printf("%%s@sched%%d\t%%s\t%%s\n", k.Name, si, status, detail)
+			fmt.Printf("%s@sched%d\t%s\t%s\n", k.Name, si, status, detail)
 		}
 	}
 }
-`, base, stride)
+`)
 	write("main.go", b.String())
 }
 
@@ -136,6 +150,18 @@ func checkSchedLines(t *testing.T, results map[string][2]string) {
 	}
 	if n == 0 {
 		t.Error("harness ran no scheduled executions")
+	}
+}
+
+// needToolchain skips a test that compiles generated code when the go
+// toolchain is unavailable or the run is -short.
+func needToolchain(t *testing.T) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("compiles generated code with the go toolchain")
+	}
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("go toolchain not available")
 	}
 }
 
@@ -169,12 +195,7 @@ func runHarness(t *testing.T, dir string) map[string][2]string {
 // demands bit-exact agreement — values, error positions and error
 // messages — with both the interpreter and the register executor.
 func TestGeneratedCodeDifferential(t *testing.T) {
-	if testing.Short() {
-		t.Skip("compiles generated code with the go toolchain")
-	}
-	if _, err := exec.LookPath("go"); err != nil {
-		t.Skip("go toolchain not available")
-	}
+	needToolchain(t)
 
 	const outW, outH = 6, 4
 	plane := diffPlane()
@@ -355,12 +376,7 @@ func evalStagedRef(stages []*Kernel, src Source) ([]byte, error) {
 // (via the harness's schedule re-runs) that worker strips and
 // sliding-window fusion reproduce Eval exactly, faults included.
 func TestGeneratedStagedAndReduction(t *testing.T) {
-	if testing.Short() {
-		t.Skip("compiles generated code with the go toolchain")
-	}
-	if _, err := exec.LookPath("go"); err != nil {
-		t.Skip("go toolchain not available")
-	}
+	needToolchain(t)
 
 	const outW, outH = 7, 6
 	plane := diffPlane()
@@ -454,12 +470,7 @@ func TestGeneratedStagedAndReduction(t *testing.T) {
 // running x) shows up here as a wrong value or a wrong reported
 // coordinate.
 func TestGeneratedBatchTailWidths(t *testing.T) {
-	if testing.Short() {
-		t.Skip("compiles generated code with the go toolchain")
-	}
-	if _, err := exec.LookPath("go"); err != nil {
-		t.Skip("go toolchain not available")
-	}
+	needToolchain(t)
 
 	widths := []int{1, 7, 8, 9, 15, 17}
 	const outH = 4
@@ -555,12 +566,7 @@ func TestGeneratedBatchTailWidths(t *testing.T) {
 // or reports a fault at the mapped input coordinate instead of the output
 // x shows up here directly.
 func TestGeneratedStridedEdgeWidths(t *testing.T) {
-	if testing.Short() {
-		t.Skip("compiles generated code with the go toolchain")
-	}
-	if _, err := exec.LookPath("go"); err != nil {
-		t.Skip("go toolchain not available")
-	}
+	needToolchain(t)
 
 	widths := []int{1, 7, 8, 9, 15, 17}
 	strides := []int{2, 3}

@@ -44,16 +44,9 @@ func (r *rowExec64) storeRow(dst []byte, step, n int) {
 }
 
 // newRowExec picks the row executor for a program: the narrowest lane the
-// width pass proved, widened to the schedule's requested lane when one is
-// given.  Widening is always sound (every register provably fits the
-// proven lane, hence any wider one); requests below the proven width are
-// clamped up, so no schedule can select an unsound executor.
-func newRowExec(p *Program, bd *binding, rowWidth, lane int) rowExec {
-	bits := p.width.laneBits
-	if lane > bits {
-		bits = lane
-	}
-	switch bits {
+// width pass proved.
+func newRowExec(p *Program, bd *binding, rowWidth int) rowExec {
+	switch p.width.laneBits {
 	case 8:
 		return newLaneState[uint8](p, bd, rowWidth)
 	case 16:

@@ -19,7 +19,6 @@ import (
 	"runtime"
 
 	"helium/internal/par"
-	"helium/internal/schedule"
 )
 
 // Internal opcodes the lowering introduces.  They live past the public Op
@@ -971,19 +970,6 @@ type CompiledKernel struct {
 // Mapped reports whether the kernel carries a non-identity index map.
 func (ck *CompiledKernel) Mapped() bool { return !ck.MapX.Identity() || !ck.MapY.Identity() }
 
-// usesTableIn reports whether any channel program performs stage-input
-// table lookups (and therefore needs a table bound at evaluation time).
-func (ck *CompiledKernel) usesTableIn() bool {
-	for _, p := range ck.Progs {
-		for i := range p.insts {
-			if p.insts[i].op == OpTableIn {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // Compile lowers every channel tree of the kernel.
 func (k *Kernel) Compile() (*CompiledKernel, error) {
 	if len(k.Trees) != k.Channels {
@@ -1023,14 +1009,13 @@ type Executor struct {
 // image.Plane or image.Interleaved get fused flat-index addressing; other
 // sources are sampled through the interface.
 func (ck *CompiledKernel) NewExecutor(src Source) *Executor {
-	return ck.newExecutor(src, ck.OutWidth, 0)
+	return ck.newExecutor(src, ck.OutWidth)
 }
 
 // newExecutor builds an executor whose row register files hold rowWidth
 // samples — the full output width for serial evaluation, one tile width
-// for the blocked parallel driver.  lane widens the register lane type
-// beyond the proven minimum (0 keeps the width pass's choice).
-func (ck *CompiledKernel) newExecutor(src Source, rowWidth, lane int) *Executor {
+// for the blocked parallel driver.
+func (ck *CompiledKernel) newExecutor(src Source, rowWidth int) *Executor {
 	ex := &Executor{k: ck, bd: bindSource(src)}
 	if num, den, _ := ck.MapX.Norm(); den == 1 {
 		// An integral x-map keeps row execution vectorized at a constant
@@ -1039,16 +1024,10 @@ func (ck *CompiledKernel) newExecutor(src Source, rowWidth, lane int) *Executor 
 	}
 	for _, p := range ck.Progs {
 		ex.scalar = append(ex.scalar, p.newState(&ex.bd, 0))
-		ex.rows = append(ex.rows, newRowExec(p, &ex.bd, rowWidth, lane))
+		ex.rows = append(ex.rows, newRowExec(p, &ex.bd, rowWidth))
 	}
 	return ex
 }
-
-// shiftBase slides the executor's flat binding by delta bytes.  The fused
-// pipeline driver uses this to keep logical row numbers stable while the
-// ring buffer the executor reads from recycles physical rows: tap offsets
-// are deltas and never depend on the base, so only the base moves.
-func (ex *Executor) shiftBase(delta int) { ex.bd.base += delta }
 
 // EvalAt evaluates channel c of output pixel (x, y) to one sample byte.
 func (ex *Executor) EvalAt(x, y, c int) (uint8, error) {
@@ -1169,13 +1148,6 @@ const (
 // fits the L1 budget (narrow lanes buy proportionally wider tiles), the
 // height until a tile's sample traffic fits the L2 budget.
 func (ck *CompiledKernel) tileSize() (tw, th int) {
-	return ck.tileSizeSched(schedule.Stage{})
-}
-
-// tileSizeSched is tileSize with schedule overrides: a positive TileW or
-// TileH replaces the corresponding heuristic extent, clamped to the
-// output.
-func (ck *CompiledKernel) tileSizeSched(sc schedule.Stage) (tw, th int) {
 	regBytes := 1
 	for _, p := range ck.Progs {
 		regBytes = max(regBytes, p.numRegs*p.width.laneBits/8)
@@ -1187,12 +1159,6 @@ func (ck *CompiledKernel) tileSizeSched(sc schedule.Stage) (tw, th int) {
 	}
 	th = tileL2Budget / max(tw*ck.Channels, 1)
 	th = min(max(th, 4), ck.OutHeight)
-	if sc.TileW > 0 {
-		tw = min(sc.TileW, ck.OutWidth)
-	}
-	if sc.TileH > 0 {
-		th = min(sc.TileH, ck.OutHeight)
-	}
 	return tw, th
 }
 
@@ -1203,17 +1169,9 @@ func (ck *CompiledKernel) tileSizeSched(sc schedule.Stage) (tw, th int) {
 // tile geometry; src must tolerate concurrent Sample calls (all package
 // sources and the lift dump source are read-only).
 func (ck *CompiledKernel) EvalParallel(src Source, workers int) ([]byte, error) {
-	return ck.EvalParallelSched(src, schedule.Stage{}, workers)
-}
-
-// EvalParallelSched is EvalParallel under a per-stage schedule: tile
-// extents and the register lane width come from sc (zero fields keep the
-// heuristics).  Output and error reporting are bit-identical to Eval for
-// every valid schedule; only the execution strategy changes.
-func (ck *CompiledKernel) EvalParallelSched(src Source, sc schedule.Stage, workers int) ([]byte, error) {
-	workers = ck.workersSched(sc, workers)
+	workers = ck.Workers(workers)
 	out := make([]byte, ck.OutWidth*ck.OutHeight*ck.Channels)
-	tw, th := ck.tileSizeSched(sc)
+	tw, th := ck.tileSize()
 	tilesX := (ck.OutWidth + tw - 1) / tw
 	tilesY := (ck.OutHeight + th - 1) / th
 
@@ -1223,7 +1181,7 @@ func (ck *CompiledKernel) EvalParallelSched(src Source, sc schedule.Stage, worke
 	// minimum afterwards.
 	errs := make([]tileError, tilesX*tilesY)
 	_ = par.For(tilesX*tilesY, 1, workers, func(int) func(int, int) error {
-		ex := ck.newExecutor(src, tw, sc.Lane)
+		ex := ck.newExecutor(src, tw)
 		return func(t0, t1 int) error {
 			for t := t0; t < t1; t++ {
 				ty, tx := t/tilesX, t%tilesX
@@ -1251,15 +1209,10 @@ func (ck *CompiledKernel) EvalParallelSched(src Source, sc schedule.Stage, worke
 // spins up 16 goroutines; it gets at most as many workers as it has
 // independent tiles.
 func (ck *CompiledKernel) Workers(requested int) int {
-	return ck.workersSched(schedule.Stage{}, requested)
-}
-
-// workersSched is Workers under a stage schedule's tile extents.
-func (ck *CompiledKernel) workersSched(sc schedule.Stage, requested int) int {
 	if requested <= 0 {
 		requested = runtime.GOMAXPROCS(0)
 	}
-	tw, th := ck.tileSizeSched(sc)
+	tw, th := ck.tileSize()
 	tiles := ((ck.OutWidth + tw - 1) / tw) * ((ck.OutHeight + th - 1) / th)
 	if requested > tiles {
 		requested = tiles

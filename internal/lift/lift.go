@@ -10,7 +10,6 @@ import (
 	"helium/internal/faultpoint"
 	"helium/internal/image"
 	"helium/internal/ir"
-	"helium/internal/schedule"
 	"helium/internal/trace"
 	"helium/internal/vm"
 )
@@ -806,89 +805,13 @@ func (c *CompiledResult) EvalParallelAt(src ir.Source, outW, outH int, workers i
 	return c.evalAt(src, outW, outH, true, workers)
 }
 
-// stagedAt returns copies of the compiled stencil stages with their
-// extents set for a final render at (outW, outH); reduction stages keep
-// nil entries.
-func (c *CompiledResult) stagedAt(outW, outH int) []*ir.CompiledKernel {
-	final := c.res.finalStage()
-	out := make([]*ir.CompiledKernel, len(c.Stages))
-	for i, ck := range c.Stages {
-		if ck == nil {
-			continue
-		}
-		cp := *ck
-		cp.OutWidth, cp.OutHeight = stageDims(&c.res.Stages[i], final, outW, outH)
-		out[i] = &cp
-	}
-	return out
-}
-
-// Fusable reports whether the pipeline admits sliding-window fusion: two
-// or more stages, all stencils, with planar single-channel intermediates
-// whose footprints the fused driver's validation accepts.
-func (c *CompiledResult) Fusable() bool {
-	if len(c.Stages) < 2 {
-		return false
-	}
-	w, h := c.res.EvalDims()
-	_, err := ir.FusedRingRows(c.stagedAt(w, h), 0)
-	return err == nil
-}
-
-// RingRows reports the fused intermediate ring heights (one per stage
-// gap) at the lifted geometry under the given window setting.
-func (c *CompiledResult) RingRows(windowRows int) ([]int, error) {
-	w, h := c.res.EvalDims()
-	return ir.FusedRingRows(c.stagedAt(w, h), windowRows)
-}
-
-// EvalScheduledAt runs the compiled chain under an explicit schedule at a
-// fresh final geometry: slidingWindow fusion streams the stages through
-// ring buffers, materialize runs the tiled parallel driver per stage with
-// the schedule's tile/lane/worker overrides.  Output and errors are
-// identical to EvalAt for every valid schedule.
-func (c *CompiledResult) EvalScheduledAt(src ir.Source, outW, outH int, sc *schedule.Schedule) ([]byte, error) {
-	if err := sc.Validate(len(c.Stages)); err != nil {
-		return nil, err
-	}
-	if sc.FusionKind() == schedule.SlidingWindow {
-		return ir.EvalFused(c.stagedAt(outW, outH), src, sc)
-	}
-	return c.res.chain(src, outW, outH, func(i int, k *ir.Kernel, s ir.Source) ([]byte, error) {
-		ck := *c.Stages[i]
-		ck.OutWidth, ck.OutHeight = k.OutWidth, k.OutHeight
-		return ck.EvalParallelSched(s, sc.StageAt(i), sc.EffectiveWorkers())
-	}, nil)
-}
-
-// EvalScheduled is EvalScheduledAt at the lifted geometry.
-func (c *CompiledResult) EvalScheduled(src ir.Source, sc *schedule.Schedule) ([]byte, error) {
-	w, h := c.res.EvalDims()
-	return c.EvalScheduledAt(src, w, h, sc)
-}
-
-// VerifySchedule checks one schedule's execution against the legacy
-// binary's own output, byte for byte.
-func (c *CompiledResult) VerifySchedule(sc *schedule.Schedule) error {
-	want, err := c.res.VMOutput()
-	if err != nil {
-		return reject(PhaseVerify, err)
-	}
-	got, err := c.EvalScheduled(c.res.MaterializeInput(), sc)
-	if err != nil {
-		return reject(PhaseCompile, fmt.Errorf("lift: scheduled eval (%s): %w", sc, err))
-	}
-	return reject(PhaseVerify, compareToVM(fmt.Sprintf("scheduled (%s) evaluation", sc), got, want))
-}
-
 // VerifyCompiled lowers the lifted pipeline to register programs and
 // checks the compiled backend against the legacy binary's own output on
 // every execution path: serial and parallel (with the given worker count,
 // <= 0 meaning GOMAXPROCS), flat (materialized pixel backing) and generic
-// (dump-backed source), plus — for fusable multi-stage pipelines — the
-// sliding-window fused executor, serial and strip-parallel.  On success
-// it returns the verified compiled pipeline so drivers report and
-// benchmark exactly the programs that were checked.
+// (dump-backed source).  On success it returns the verified compiled
+// pipeline so drivers report and benchmark exactly the programs that were
+// checked.
 func (r *Result) VerifyCompiled(workers int) (*CompiledResult, error) {
 	want, err := r.VMOutput()
 	if err != nil {
@@ -900,7 +823,6 @@ func (r *Result) VerifyCompiled(workers int) (*CompiledResult, error) {
 	}
 	start := time.Now()
 	defer func() { r.addPhase(PhaseVerify, time.Since(start)) }()
-	fusable := c.Fusable()
 	paths := []struct {
 		name string
 		src  ir.Source
@@ -922,19 +844,6 @@ func (r *Result) VerifyCompiled(workers int) (*CompiledResult, error) {
 		}
 		if err := compareToVM("compiled "+p.name+" parallel evaluation", got, want); err != nil {
 			return nil, reject(PhaseVerify, err)
-		}
-		if !fusable {
-			continue
-		}
-		for _, w := range []int{1, workers} {
-			sc := &schedule.Schedule{Fusion: schedule.SlidingWindow, Workers: max(w, 0)}
-			got, err = c.EvalScheduled(p.src, sc)
-			if err != nil {
-				return nil, reject(PhaseCompile, fmt.Errorf("lift: compiled %s sliding-window eval (%s): %w", p.name, sc, err))
-			}
-			if err := compareToVM(fmt.Sprintf("compiled %s sliding-window (%s) evaluation", p.name, sc), got, want); err != nil {
-				return nil, reject(PhaseVerify, err)
-			}
 		}
 	}
 	return c, nil

@@ -85,9 +85,10 @@ func TestGeneratedKernelsMatchVM(t *testing.T) {
 
 // TestGeneratedHonorsScheduleSpec pins the generated runtime's schedule
 // layer: every kernel re-run under non-default schedules — parallel row
-// strips, GOMAXPROCS workers, sliding-window fusion for the multi-stage
-// pipeline, and the embedded autotuned schedule — must reproduce the
-// serial reference Eval byte for byte.
+// strips, GOMAXPROCS workers, explicit cache tiles, sliding-window fusion
+// for the multi-stage pipeline, and the embedded autotuned schedule —
+// must reproduce the serial reference Eval byte for byte, and invalid
+// schedules are rejected before execution rather than silently ignored.
 func TestGeneratedHonorsScheduleSpec(t *testing.T) {
 	cfg := legacy.Config{Width: 28, Height: 21, Seed: 4}
 	fusedSeen := false
@@ -117,9 +118,18 @@ func TestGeneratedHonorsScheduleSpec(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: reference eval: %v", k.Name, err)
 		}
+		tiles := func(tw, th int) []liftedkernels.StageSched {
+			st := make([]liftedkernels.StageSched, max(len(gk.Stages), 1))
+			for i := range st {
+				st[i] = liftedkernels.StageSched{TileW: tw, TileH: th}
+			}
+			return st
+		}
 		specs := []liftedkernels.ScheduleSpec{
 			{Workers: 3},
 			{Workers: -1}, // GOMAXPROCS
+			{Workers: 4, Stages: tiles(16, 4)},
+			{Workers: 3, Stages: tiles(8, 2)},
 		}
 		if len(gk.Stages) >= 2 {
 			fusedSeen = true
@@ -152,13 +162,93 @@ func TestGeneratedHonorsScheduleSpec(t *testing.T) {
 		liftedkernels.ScheduleSpec{Fusion: "bogus"}); err == nil {
 		t.Error("EvalSched must reject an unknown fusion strategy")
 	}
+	single, _ := liftedkernels.Lookup("boxblur3")
+	if _, err := single.EvalSched(&liftedkernels.Image{}, 1, 1,
+		liftedkernels.ScheduleSpec{Fusion: "slidingWindow"}); err == nil {
+		t.Error("EvalSched must reject sliding-window fusion of a single-stage kernel")
+	}
+}
+
+// TestBlur2pFusedBitExactAndSmall is the sliding-window acceptance test
+// on a real lifted pipeline: fused execution of the two-pass blur matches
+// the materializing baseline and the VM bit for bit, while its only
+// intermediate lives in a ring sized by the consumer's recorded
+// footprint — a fraction of the plane height.
+func TestBlur2pFusedBitExactAndSmall(t *testing.T) {
+	k, ok := legacy.Lookup("blur2p")
+	if !ok {
+		t.Fatal("blur2p missing from the corpus")
+	}
+	inst := k.Instantiate(legacy.Config{Width: 40, Height: 32, Seed: 2})
+	res, err := lift.Lift(k.Name, lift.Target{
+		Prog:  inst.Prog,
+		Setup: inst.Setup,
+		Known: lift.KnownInput{
+			Width: inst.Width, Height: inst.Height, Channels: inst.Channels,
+			Interleaved: inst.Interleaved, Interior: inst.InputInterior,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gk, ok := liftedkernels.Lookup(k.Name)
+	if !ok || len(gk.Stages) != 2 {
+		t.Fatal("blur2p is not a two-stage generated pipeline")
+	}
+
+	ring := gk.Stages[1].MaxDY - gk.Stages[1].MinDY + 1
+	interH := res.Stages[0].Out.Rows
+	if ring >= interH {
+		t.Fatalf("minimal ring holds %d rows — as much as the %d-row intermediate plane", ring, interH)
+	}
+	if ring != 3 {
+		t.Errorf("blur2p vertical pass has a 3-row footprint; ring = %d rows", ring)
+	}
+
+	img, ok := genImage(res.MaterializeInput())
+	if !ok {
+		t.Fatal("blur2p input cannot be materialized")
+	}
+	w, h := res.EvalDims()
+	want, err := gk.Eval(img, w, h) // materializing baseline
+	if err != nil {
+		t.Fatal(err)
+	}
+	vmOut, err := res.VMOutput()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want, vmOut) {
+		t.Fatal("materializing baseline does not match the VM")
+	}
+	for _, spec := range []liftedkernels.ScheduleSpec{
+		{Fusion: "slidingWindow", Workers: 1},
+		{Fusion: "slidingWindow", Workers: 1, WindowRows: 8},
+		{Fusion: "slidingWindow", Workers: 4},
+		{Fusion: "slidingWindow", Workers: 4, WindowRows: 6},
+	} {
+		got, err := gk.EvalSched(img, w, h, spec)
+		if err != nil {
+			t.Fatalf("%+v: %v", spec, err)
+		}
+		if !bytes.Equal(got, want) {
+			bad := 0
+			for i := range got {
+				if got[i] != want[i] {
+					bad++
+				}
+			}
+			t.Errorf("%+v: fused output differs from materializing on %d/%d samples", spec, bad, len(want))
+		}
+	}
 }
 
 // TestFusedRejectsFootprintOverreads pins the runtime's fusion
 // validation: a consumer stage whose recorded read footprint escapes its
 // producer's extent must error under slidingWindow rather than silently
 // read recycled ring rows (a full materialized plane and a ring wrap
-// overreads differently, so fusion must be loud here).
+// overreads differently, so fusion must be loud here), and so must a
+// multi-channel intermediate, which has no planar ring.
 func TestFusedRejectsFootprintOverreads(t *testing.T) {
 	zeroRow := func(dst []byte, step int, img *liftedkernels.Image, y, xbase, n int) (int, error) {
 		for x := 0; x < n; x++ {
@@ -190,6 +280,12 @@ func TestFusedRejectsFootprintOverreads(t *testing.T) {
 	}
 	if _, err := mk(liftedkernels.StageSpec{MaxDY: 1}).EvalSched(img, 8, 8, sliding); err == nil {
 		t.Error("row footprint past the producer height must not fuse")
+	}
+	wide := mk(liftedkernels.StageSpec{})
+	wide.Stages[0].Channels = 2
+	wide.Stages[0].Rows = []liftedkernels.RowFunc{zeroRow, zeroRow}
+	if _, err := wide.EvalSched(img, 8, 8, sliding); err == nil {
+		t.Error("multi-channel intermediate must not fuse")
 	}
 }
 

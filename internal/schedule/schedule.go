@@ -1,21 +1,22 @@
 // Package schedule is the execution-strategy half of the algorithm/schedule
 // split the source paper's speedups rest on.  A lifted kernel (the
 // algorithm) says only *what* each output sample is; a Schedule says *how*
-// the executors should compute it: how output tiles are blocked, how many
-// workers render them, which lane width the register rows run in, and —
-// for multi-stage pipelines — whether intermediate stages materialize full
-// planes or stream through a sliding window of ring-buffered rows.
+// the generated runtime should compute it: how output tiles are blocked,
+// how many workers render them, and — for multi-stage pipelines — whether
+// intermediate stages materialize full planes or stream through a sliding
+// window of ring-buffered rows.
 //
-// Schedules are plain data, decoupled from Program/CompiledKernel: the
-// same compiled pipeline runs under any valid schedule and produces
-// bit-identical output (values, error positions and error messages), so a
-// tuner is free to search the schedule space and keep only the fastest
-// candidate.  The tuner (`helium tune`) persists its winners in a
-// schedules.json Set consumed by `helium run`, `helium gen` and the
-// generated package.
+// Schedules are plain data: the same generated pipeline runs under any
+// valid schedule and produces bit-identical output (values, error
+// positions and error messages), so a tuner is free to search the
+// schedule space and keep only the fastest candidate.  The tuner
+// (`helium tune`) times its candidates on the generated runtime and
+// persists its winners in a schedules.json Set, which `helium gen` bakes
+// into the generated package as each kernel's default schedule.
 package schedule
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -40,15 +41,10 @@ const (
 // Stage is the per-stage half of a schedule.  Zero values mean "use the
 // executor's built-in heuristic".
 type Stage struct {
-	// TileW and TileH override the cache-blocked parallel driver's tile
-	// extents (clamped to the stage output); 0 keeps the L1/L2 heuristic.
+	// TileW and TileH block the stage's output into TileW x TileH cache
+	// tiles (clamped to the stage output); 0 keeps straight row strips.
 	TileW int `json:"tile_w,omitempty"`
 	TileH int `json:"tile_h,omitempty"`
-	// Lane widens the register-row lane type to 8, 16, 32 or 64 bits.  The
-	// width-inference pass fixes the narrowest sound lane; a schedule may
-	// only widen (narrower requests are clamped up), so any Lane value is
-	// safe.  0 keeps the proven minimum.
-	Lane int `json:"lane,omitempty"`
 }
 
 // Schedule is one kernel's complete execution strategy.
@@ -65,9 +61,8 @@ type Schedule struct {
 	Stages []Stage `json:"stages,omitempty"`
 }
 
-// Default returns the heuristic schedule the executors used before the
-// schedule layer existed: materialize every stage, GOMAXPROCS workers,
-// L1/L2 tile heuristic, proven lanes.
+// Default returns the heuristic schedule the runtime uses without a tuned
+// one: materialize every stage, GOMAXPROCS workers, row strips.
 func Default() *Schedule { return &Schedule{} }
 
 // FusionKind returns the effective fusion strategy (empty normalizes to
@@ -77,14 +72,6 @@ func (s *Schedule) FusionKind() Fusion {
 		return Materialize
 	}
 	return s.Fusion
-}
-
-// EffectiveWorkers resolves the worker count (0 means GOMAXPROCS).
-func (s *Schedule) EffectiveWorkers() int {
-	if s == nil || s.Workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return s.Workers
 }
 
 // StageAt returns stage i's overrides, or the zero Stage when the
@@ -122,11 +109,6 @@ func (s *Schedule) Validate(nStages int) error {
 		if st.TileW < 0 || st.TileH < 0 {
 			return fmt.Errorf("schedule: stage %d: negative tile %dx%d", i, st.TileW, st.TileH)
 		}
-		switch st.Lane {
-		case 0, 8, 16, 32, 64:
-		default:
-			return fmt.Errorf("schedule: stage %d: lane width %d is not 8, 16, 32 or 64", i, st.Lane)
-		}
 	}
 	return nil
 }
@@ -147,14 +129,7 @@ func (s *Schedule) String() string {
 		if st == (Stage{}) {
 			continue
 		}
-		out += fmt.Sprintf(" s%d[", i)
-		if st.TileW > 0 || st.TileH > 0 {
-			out += fmt.Sprintf("tile=%dx%d", st.TileW, st.TileH)
-		}
-		if st.Lane > 0 {
-			out += fmt.Sprintf(" lane=%d", st.Lane)
-		}
-		out += "]"
+		out += fmt.Sprintf(" s%d[tile=%dx%d]", i, st.TileW, st.TileH)
 	}
 	return out
 }
@@ -211,8 +186,13 @@ func Load(path string) (*Set, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Unknown keys are errors, not silently dropped knobs: a set naming a
+	// field this build does not execute would claim a tuning it does not
+	// get.
 	var set Set
-	if err := json.Unmarshal(data, &set); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&set); err != nil {
 		return nil, fmt.Errorf("schedule: %s does not parse: %w", path, err)
 	}
 	for name, sc := range set.Kernels {

@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 )
@@ -21,8 +22,6 @@ func TestValidate(t *testing.T) {
 		{"negative workers", &Schedule{Workers: -1}, 1, false},
 		{"negative window", &Schedule{WindowRows: -2}, 2, false},
 		{"too many stages", &Schedule{Stages: make([]Stage, 3)}, 2, false},
-		{"bad lane", &Schedule{Stages: []Stage{{Lane: 24}}}, 1, false},
-		{"good lane", &Schedule{Stages: []Stage{{Lane: 32, TileW: 64}}}, 1, true},
 		{"negative tile", &Schedule{Stages: []Stage{{TileW: -4}}}, 1, false},
 	}
 	for _, c := range cases {
@@ -63,7 +62,7 @@ func TestSetRoundTrip(t *testing.T) {
 		Kernels: map[string]*Schedule{
 			"blur2p": {Fusion: SlidingWindow, WindowRows: 3, Workers: 2},
 			"boxblur3": {Workers: 1, Stages: []Stage{
-				{TileW: 128, TileH: 16, Lane: 16}}},
+				{TileW: 128, TileH: 16}}},
 			"hist256": {},
 		},
 	}
@@ -85,7 +84,7 @@ func TestSetRoundTrip(t *testing.T) {
 	if b == nil || b.FusionKind() != SlidingWindow || b.WindowRows != 3 || b.Workers != 2 {
 		t.Fatalf("blur2p schedule did not round-trip: %+v", b)
 	}
-	if st := got.For("boxblur3").StageAt(0); st.TileW != 128 || st.Lane != 16 {
+	if st := got.For("boxblur3").StageAt(0); st.TileW != 128 || st.TileH != 16 {
 		t.Fatalf("boxblur3 stage overrides did not round-trip: %+v", st)
 	}
 	if got.For("nosuch") != nil {
@@ -105,6 +104,14 @@ func TestLoadRejectsInvalid(t *testing.T) {
 	}
 	if _, err := Load(path); err == nil {
 		t.Fatal("Load must reject an invalid fusion strategy")
+	}
+	// A key no schedule field carries is rejected rather than silently
+	// dropped.
+	if err := os.WriteFile(path, []byte(`{"kernels":{"k":{"stages":[{"lane":16}]}}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(path); err == nil {
+		t.Fatal("Load must reject an unknown schedule field")
 	}
 }
 

@@ -240,9 +240,6 @@ func (e *entry) evalBackend(be backendID, rs *reqScratch, req *request, outW, ou
 		}
 		return e.gk.EvalInto(&rs.sc, &rs.img, outW, outH, spec)
 	case beCompiled:
-		if e.tuned != nil {
-			return e.ck.EvalScheduledAt(rs.src, outW, outH, e.tuned)
-		}
 		return e.ck.EvalAt(rs.src, outW, outH)
 	case beInterp:
 		return e.res.EvalIRAt(rs.src, outW, outH)

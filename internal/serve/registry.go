@@ -22,7 +22,6 @@ import (
 	"helium/internal/lift"
 	"helium/internal/liftedkernels"
 	"helium/internal/obs"
-	"helium/internal/schedule"
 )
 
 // backendID indexes the per-request degradation chain.
@@ -163,10 +162,9 @@ type entry struct {
 	rej *lift.Rejection
 	err error
 
-	res   *lift.Result
-	ck    *lift.CompiledResult
-	gk    *liftedkernels.Kernel
-	tuned *schedule.Schedule
+	res *lift.Result
+	ck  *lift.CompiledResult
+	gk  *liftedkernels.Kernel
 
 	// Geometry model: response extents are rational in the requested
 	// config geometry — outW = floor(w*mulW/divW) + offW — with the
@@ -298,7 +296,6 @@ func (e *entry) init() {
 	if gk, ok := liftedkernels.Lookup(e.name); ok {
 		e.gk = gk
 	}
-	e.tuned = e.reg.opts.Schedules.For(e.name)
 
 	cfg := e.reg.opts
 	outW0, outH0 := res.EvalDims()

@@ -17,7 +17,6 @@ import (
 	"helium/internal/faultpoint"
 	"helium/internal/legacy"
 	"helium/internal/obs"
-	"helium/internal/schedule"
 )
 
 // Options configures a Server.  The zero value is usable: every field
@@ -28,10 +27,6 @@ type Options struct {
 	// limits below).  Defaults 40x24 seed 1, matching `helium run`.
 	LiftWidth, LiftHeight int
 	LiftSeed              uint64
-
-	// Schedules is the tuned schedule set applied to the compiled
-	// fallback backend; nil means heuristic defaults.
-	Schedules *schedule.Set
 
 	// Workers is the shared execution pool size (default GOMAXPROCS).
 	Workers int
