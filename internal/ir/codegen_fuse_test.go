@@ -3,6 +3,8 @@ package ir
 import (
 	"encoding/hex"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -289,6 +291,71 @@ func TestFusedRingStaysSmall(t *testing.T) {
 	}
 	if interH := u.Stages[0].OutHeight; interH <= 1 {
 		t.Fatalf("intermediate is %d rows; the test needs a tall one", interH)
+	}
+}
+
+// TestFusedRejectsUnfusable pins the generated runtime's fusion
+// validation on chains built by GenerateUnits: a single-stage kernel, a
+// consumer tapping outside its producer's extent, and a multi-channel
+// intermediate (which has no planar ring) must each be rejected under
+// slidingWindow rather than run, while the same chain with a producer
+// covering the footprint fuses.
+func TestFusedRejectsUnfusable(t *testing.T) {
+	needToolchain(t)
+	vertical := func() *Expr { return Bin(OpAdd, 4, zext(Load(0, -1, 0)), zext(Load(0, 1, 0))) }
+	single := chainFromTrees("single", []*Expr{zext(Load(0, 0, 0))}, 8, 8)
+	ok := chainFromTrees("ok", []*Expr{zext(Load(0, 0, 0)), vertical()}, 8, 8)
+	// Shrink the producer below the consumer's footprint.
+	bad := chainFromTrees("bad", []*Expr{zext(Load(0, 0, 0)), vertical()}, 8, 8)
+	bad.Stages[0].OutHeight = 4
+	wide := chainFromTrees("wide", []*Expr{zext(Load(0, 0, 0)), vertical()}, 8, 8)
+	wide.Stages[0].Channels = 2
+	wide.Stages[0].Trees = []*Expr{zext(Load(0, 0, 0)), zext(Load(0, 0, 0))}
+	src, err := GenerateUnits("liftedkernels", []GenKernel{single, ok, bad, wide})
+	if err != nil {
+		t.Fatalf("GenerateUnits: %v", err)
+	}
+	dir := t.TempDir()
+	plane := fuseSource(1, 16, 16, 4)
+	genHarnessWith(t, dir, src, map[string]*image.Plane{"": plane}, "")
+	// Replace the harness driver: run every kernel fused, once, and
+	// report the runtime's verdict.
+	pix, base, stride := plane.Flat()
+	main := fmt.Sprintf(`package main
+
+import (
+	"fmt"
+
+	lk "gentest/lk"
+)
+
+func main() {
+	img := &lk.Image{Pix: []byte(%q), Base: %d, Stride: %d, PixStep: 1}
+	for _, k := range lk.Kernels() {
+		_, err := k.EvalSched(img, k.DefaultWidth, k.DefaultHeight, lk.ScheduleSpec{Fusion: "slidingWindow"})
+		if err != nil {
+			fmt.Printf("%%s\tERR\t%%s\n", k.Name, err)
+		} else {
+			fmt.Printf("%%s\tOK\t\n", k.Name)
+		}
+	}
+}
+`, pix, base, stride)
+	if err := os.WriteFile(filepath.Join(dir, "main.go"), []byte(main), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	results := runHarness(t, dir)
+	if got := results["ok"]; got[0] != "OK" {
+		t.Fatalf("covering chain must fuse: %v", got)
+	}
+	for _, c := range []struct{ name, want string }{
+		{"single", "slidingWindow fusion needs at least 2 stages"},
+		{"bad", "outside its 4-row producer"},
+		{"wide", "only planar single-channel intermediates stream"},
+	} {
+		if got := results[c.name]; got[0] != "ERR" || !strings.Contains(got[1], c.want) {
+			t.Errorf("%s: fused run reports %v, want an error containing %q", c.name, got, c.want)
+		}
 	}
 }
 

@@ -4,17 +4,36 @@ import (
 	"bytes"
 	"testing"
 
+	"helium/internal/ir"
 	"helium/internal/legacy"
 	"helium/internal/lift"
-	"helium/internal/schedule"
+	"helium/internal/liftedkernels"
 )
 
+// Schedules run only on the generated runtime, so these tests lift each
+// kernel and execute the checked-in generated code for it under explicit
+// schedule specs, holding it to the legacy binary's own output.
+
+// genImage maps an evaluator source onto the generated package's flat
+// geometry, as cmd/helium does.
+func genImage(src ir.Source) (*liftedkernels.Image, bool) {
+	switch s := src.(type) {
+	case ir.PlaneSource:
+		pix, base, stride := s.P.Flat()
+		return &liftedkernels.Image{Pix: pix, Base: base, Stride: stride, PixStep: 1}, true
+	case ir.InterleavedSource:
+		pix, base, stride, pixStep := s.Im.Flat()
+		return &liftedkernels.Image{Pix: pix, Base: base, Stride: stride, PixStep: pixStep, ChanStep: 1}, true
+	}
+	return nil, false
+}
+
 // TestScheduledCorpusMatchesVM runs every corpus kernel under a spread of
-// schedules — materialize with explicit tiles, lanes and worker counts,
-// and (for multi-stage pipelines) sliding-window fusion at several window
-// sizes — and demands byte-exact agreement with the legacy binary's own
-// output.  This is the schedule layer's core contract: a schedule changes
-// only the execution strategy, never the result.
+// schedules — materialize with explicit tiles and worker counts, and (for
+// multi-stage pipelines) sliding-window fusion at several window sizes —
+// and demands byte-exact agreement with the legacy binary's own output.
+// This is the schedule layer's core contract: a schedule changes only the
+// execution strategy, never the result.
 func TestScheduledCorpusMatchesVM(t *testing.T) {
 	cfg := legacy.Config{Width: 30, Height: 19, Seed: 5}
 	for _, k := range legacy.Kernels() {
@@ -23,107 +42,50 @@ func TestScheduledCorpusMatchesVM(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: lift: %v", k.Name, err)
 		}
-		c, err := res.VerifyCompiled(3)
+		if _, err := res.VerifyCompiled(3); err != nil {
+			t.Fatalf("%s: %v", k.Name, err)
+		}
+		gk, ok := liftedkernels.Lookup(k.Name)
+		if !ok {
+			t.Fatalf("%s: not in the generated registry (run `helium gen`)", k.Name)
+		}
+		img, ok := genImage(res.MaterializeInput())
+		if !ok {
+			t.Fatalf("%s: input cannot be materialized", k.Name)
+		}
+		want, err := res.VMOutput()
 		if err != nil {
 			t.Fatalf("%s: %v", k.Name, err)
 		}
-		nStages := len(res.Stages)
-		scheds := []*schedule.Schedule{
-			schedule.Default(),
-			{Workers: 1},
-			{Workers: 4, Stages: fillStages(nStages, schedule.Stage{TileW: 16, TileH: 4})},
-			{Workers: 2, Stages: fillStages(nStages, schedule.Stage{Lane: 32})},
-			{Workers: 3, Stages: fillStages(nStages, schedule.Stage{TileW: 8, TileH: 2, Lane: 64})},
+		tiles := func(tw, th int) []liftedkernels.StageSched {
+			st := make([]liftedkernels.StageSched, max(len(gk.Stages), 1))
+			for i := range st {
+				st[i] = liftedkernels.StageSched{TileW: tw, TileH: th}
+			}
+			return st
 		}
-		if c.Fusable() {
-			scheds = append(scheds,
-				&schedule.Schedule{Fusion: schedule.SlidingWindow},
-				&schedule.Schedule{Fusion: schedule.SlidingWindow, WindowRows: 5, Workers: 4},
+		specs := []liftedkernels.ScheduleSpec{
+			{},
+			{Workers: 1},
+			{Workers: 4, Stages: tiles(16, 4)},
+			{Workers: 3, Stages: tiles(8, 2)},
+		}
+		if len(gk.Stages) >= 2 {
+			specs = append(specs,
+				liftedkernels.ScheduleSpec{Fusion: "slidingWindow"},
+				liftedkernels.ScheduleSpec{Fusion: "slidingWindow", WindowRows: 5, Workers: 4},
 			)
 		}
-		for _, sc := range scheds {
-			if err := c.VerifySchedule(sc); err != nil {
-				t.Errorf("%s: schedule %s: %v", k.Name, sc, err)
+		w, h := res.EvalDims()
+		for _, spec := range specs {
+			got, err := gk.EvalSched(img, w, h, spec)
+			if err != nil {
+				t.Errorf("%s: schedule %+v: %v", k.Name, spec, err)
+				continue
 			}
-		}
-	}
-}
-
-func fillStages(n int, st schedule.Stage) []schedule.Stage {
-	out := make([]schedule.Stage, n)
-	for i := range out {
-		out[i] = st
-	}
-	return out
-}
-
-// TestBlur2pFusedBitExactAndSmall is the acceptance test of the tentpole:
-// sliding-window execution of the two-pass blur matches the materializing
-// baseline (and the VM) bit for bit, while its only intermediate lives in
-// a ring a fraction of the plane height.
-func TestBlur2pFusedBitExactAndSmall(t *testing.T) {
-	k, ok := legacy.Lookup("blur2p")
-	if !ok {
-		t.Fatal("blur2p missing from the corpus")
-	}
-	cfg := legacy.Config{Width: 40, Height: 32, Seed: 2}
-	res, err := lift.Lift(k.Name, target(k.Instantiate(cfg)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := res.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.Fusable() {
-		t.Fatal("blur2p must be fusable")
-	}
-
-	rings, err := c.RingRows(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rings) != 1 {
-		t.Fatalf("ring count %d, want 1", len(rings))
-	}
-	interH := res.Stages[0].Out.Rows
-	if rings[0] >= interH {
-		t.Fatalf("minimal ring holds %d rows — as much as the %d-row intermediate plane", rings[0], interH)
-	}
-	if rings[0] != 3 {
-		t.Errorf("blur2p vertical pass has a 3-row footprint; ring = %d rows", rings[0])
-	}
-
-	src := res.MaterializeInput()
-	want, err := c.Eval(src) // materializing baseline
-	if err != nil {
-		t.Fatal(err)
-	}
-	vmOut, err := res.VMOutput()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want, vmOut) {
-		t.Fatal("materializing baseline does not match the VM")
-	}
-	for _, sc := range []*schedule.Schedule{
-		{Fusion: schedule.SlidingWindow, Workers: 1},
-		{Fusion: schedule.SlidingWindow, Workers: 1, WindowRows: 8},
-		{Fusion: schedule.SlidingWindow, Workers: 4},
-		{Fusion: schedule.SlidingWindow, Workers: 4, WindowRows: 6},
-	} {
-		got, err := c.EvalScheduled(src, sc)
-		if err != nil {
-			t.Fatalf("%s: %v", sc, err)
-		}
-		if !bytes.Equal(got, want) {
-			bad := 0
-			for i := range got {
-				if got[i] != want[i] {
-					bad++
-				}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s: schedule %+v: output differs from the VM's", k.Name, spec)
 			}
-			t.Errorf("%s: fused output differs from materializing on %d/%d samples", sc, bad, len(want))
 		}
 	}
 }
@@ -136,14 +98,19 @@ func TestScheduleValidationSurfacesInEval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := res.Compile()
-	if err != nil {
-		t.Fatal(err)
+	gk, ok := liftedkernels.Lookup(k.Name)
+	if !ok {
+		t.Fatal("boxblur3 not in the generated registry")
 	}
-	if _, err := c.EvalScheduled(res.MaterializeInput(), &schedule.Schedule{Fusion: "bogus"}); err == nil {
+	img, ok := genImage(res.MaterializeInput())
+	if !ok {
+		t.Fatal("boxblur3 input cannot be materialized")
+	}
+	w, h := res.EvalDims()
+	if _, err := gk.EvalSched(img, w, h, liftedkernels.ScheduleSpec{Fusion: "bogus"}); err == nil {
 		t.Fatal("bogus fusion strategy must be rejected")
 	}
-	if _, err := c.EvalScheduled(res.MaterializeInput(), &schedule.Schedule{Fusion: schedule.SlidingWindow}); err == nil {
+	if _, err := gk.EvalSched(img, w, h, liftedkernels.ScheduleSpec{Fusion: "slidingWindow"}); err == nil {
 		t.Fatal("sliding-window on a single-stage kernel must be rejected")
 	}
 }
