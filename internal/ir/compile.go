@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"strconv"
 	"strings"
 )
 
@@ -270,21 +271,20 @@ func (c *compiler) exprID(e *Expr) int32 {
 	if id, ok := c.idByPtr[e]; ok {
 		return id
 	}
-	var b strings.Builder
-	e.keyHeader(&b, true)
-	b.WriteString("(")
+	b, _ := e.appendKeyHeader(nil, true)
+	b = append(b, '(')
 	for i, a := range e.Args {
 		if i > 0 {
-			b.WriteString(",")
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "#%d", c.exprID(a))
+		b = append(b, '#')
+		b = strconv.AppendInt(b, int64(c.exprID(a)), 10)
 	}
-	b.WriteString(")")
-	key := b.String()
-	id, ok := c.idByKey[key]
+	b = append(b, ')')
+	id, ok := c.idByKey[string(b)]
 	if !ok {
 		id = int32(len(c.idByKey))
-		c.idByKey[key] = id
+		c.idByKey[string(b)] = id
 	}
 	c.idByPtr[e] = id
 	return id

@@ -15,6 +15,7 @@ package ir
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 )
 
@@ -216,65 +217,94 @@ func (e *Expr) Size() int {
 // Unlike String it encodes widths and table identities, so it is the
 // equality the lifting pipeline uses to collapse unrolled copies.
 func (e *Expr) Key() string {
-	var b strings.Builder
-	e.key(&b)
-	return b.String()
+	return string(e.appendKey(nil))
 }
 
-func (e *Expr) key(b *strings.Builder) {
-	if e.keyHeader(b, false) {
-		return
+func (e *Expr) appendKey(b []byte) []byte {
+	b, leaf := e.appendKeyHeader(b, false)
+	if leaf {
+		return b
 	}
-	b.WriteString("(")
+	b = append(b, '(')
 	for i, a := range e.Args {
 		if i > 0 {
-			b.WriteString(",")
+			b = append(b, ',')
 		}
-		a.key(b)
+		b = a.appendKey(b)
 	}
-	b.WriteString(")")
+	return append(b, ')')
 }
 
-// keyHeader writes the operator-and-scalar-field prefix of the node's
-// structural key — everything except the children — and reports whether
-// the node is a leaf.  exactFloats spells float constants as IEEE-754 bit
-// patterns, so distinct NaN payloads never share a key; the compiler's
-// common-subexpression elimination demands that exactness, the printable
-// Key keeps the readable %g form.
-func (e *Expr) keyHeader(b *strings.Builder, exactFloats bool) bool {
+// AppendKeyHeader appends the operator-and-scalar-field prefix of the
+// node's Key — everything except the parenthesized children — and reports
+// whether the node is a leaf (its whole key is the header).  Callers that
+// cache child keys rebuild Key byte for byte as
+// header + "(" + child keys joined by "," + ")".
+func (e *Expr) AppendKeyHeader(b []byte) ([]byte, bool) {
+	return e.appendKeyHeader(b, false)
+}
+
+// appendKeyHeader is AppendKeyHeader with a choice of float spelling.
+// exactFloats spells float constants as IEEE-754 bit patterns, so distinct
+// NaN payloads never share a key; the compiler's common-subexpression
+// elimination demands that exactness, the printable Key keeps the readable
+// %g form.
+func (e *Expr) appendKeyHeader(b []byte, exactFloats bool) ([]byte, bool) {
 	switch e.Op {
 	case OpLoad:
-		fmt.Fprintf(b, "in(%d,%d,%d)", e.DX, e.DY, e.DC)
-		return true
+		b = append(b, "in("...)
+		b = strconv.AppendInt(b, int64(e.DX), 10)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(e.DY), 10)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(e.DC), 10)
+		return append(b, ')'), true
 	case OpConst:
-		fmt.Fprintf(b, "%d", e.Val)
-		return true
+		return strconv.AppendInt(b, e.Val, 10), true
 	case OpConstF:
 		if exactFloats {
-			fmt.Fprintf(b, "f%016x", math.Float64bits(e.F))
-		} else {
-			fmt.Fprintf(b, "%g", e.F)
+			return appendHex16(append(b, 'f'), math.Float64bits(e.F)), true
 		}
-		return true
+		return strconv.AppendFloat(b, e.F, 'g', -1, 64), true
 	}
-	b.WriteString(e.Op.String())
+	b = append(b, e.Op.String()...)
 	switch e.Op {
 	case OpZExt, OpSExt, OpIntToFP:
-		fmt.Fprintf(b, "%d>%d", e.SrcWidth, e.Width)
+		b = strconv.AppendInt(b, int64(e.SrcWidth), 10)
+		b = append(b, '>')
+		b = strconv.AppendInt(b, int64(e.Width), 10)
 	case OpExtract:
-		fmt.Fprintf(b, "@%d w%d", e.Val, e.Width)
+		b = append(b, '@')
+		b = strconv.AppendInt(b, e.Val, 10)
+		b = append(b, " w"...)
+		b = strconv.AppendInt(b, int64(e.Width), 10)
 	case OpTable:
-		fmt.Fprintf(b, "#%x/%d", tableFingerprint(e.Table), e.Elem)
+		b = append(b, '#')
+		b = strconv.AppendUint(b, tableFingerprint(e.Table), 16)
+		b = append(b, '/')
+		b = strconv.AppendInt(b, int64(e.Elem), 10)
 	case OpTableIn:
-		fmt.Fprintf(b, "/%d", e.Elem)
+		b = append(b, '/')
+		b = strconv.AppendInt(b, int64(e.Elem), 10)
 	case OpCall:
-		fmt.Fprintf(b, ":%s", e.Sym)
+		b = append(b, ':')
+		b = append(b, e.Sym...)
 	default:
 		if e.Width != 0 {
-			fmt.Fprintf(b, "w%d", e.Width)
+			b = append(b, 'w')
+			b = strconv.AppendInt(b, int64(e.Width), 10)
 		}
 	}
-	return false
+	return b, false
+}
+
+// appendHex16 appends v as exactly 16 lowercase hex digits.
+func appendHex16(b []byte, v uint64) []byte {
+	const digits = "0123456789abcdef"
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, digits[(v>>uint(shift))&0xf])
+	}
+	return b
 }
 
 // tableFingerprint hashes table contents (FNV-1a) so distinct tables get

@@ -38,9 +38,14 @@ func liftAffine(name string, tr *trace.InstTrace, prog *isa.Program, bufs *Buffe
 	}
 	out := bufs.Out
 	w, h, channels := out.Width(), out.Rows, out.Channels
+	t := newExprTable()
+	if testHookTable != nil {
+		defer testHookTable("affine", t)
+	}
 
-	// Rebase every sample's loads to its own minimal tap and record the
-	// per-axis bases; the rebased trees must be one tree per channel.
+	// Rebase every sample's loads to its own minimal tap (a shifted copy:
+	// the extracted nodes are interned and shared) and record the per-axis
+	// bases; the rebased trees must be one tree per channel.
 	reps := make([]*ir.Expr, channels)
 	bx := make([]int, w)
 	by := make([]int, h)
@@ -62,14 +67,10 @@ func liftAffine(name string, tr *trace.InstTrace, prog *isa.Program, bufs *Buffe
 		if !any {
 			return nil, fmt.Errorf("sample (%d,%d) reads no input pixels", st.X, st.Y)
 		}
-		visitLoads(st.Expr, func(l *ir.Expr) {
-			l.DX -= minX
-			l.DY -= minY
-		})
-		canon := Canonicalize(st.Expr)
+		canon := t.canon(t.shift(t.adopt(st.Expr), minX, minY))
 		if reps[st.C] == nil {
 			reps[st.C] = canon
-		} else if reps[st.C].Key() != canon.Key() {
+		} else if !t.sameKey(reps[st.C], canon) {
 			return nil, fmt.Errorf("channel %d trees do not differ by a pure translation: sample (%d,%d) computes %s, others %s",
 				st.C, st.X, st.Y, canon, reps[st.C])
 		}
@@ -88,6 +89,7 @@ func liftAffine(name string, tr *trace.InstTrace, prog *isa.Program, bufs *Buffe
 		if r == nil {
 			return nil, fmt.Errorf("channel %d produced no samples", c)
 		}
+		reps[c] = r.Clone() // detached from the refit's table
 	}
 
 	mx, err := fitAxisMap(bx)

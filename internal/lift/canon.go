@@ -15,28 +15,50 @@ import (
 // source computation — unrolled lanes, peeled remainder iterations, tile
 // positions — all canonicalize to the same tree.  Floating point chains
 // are never reassociated or reordered: that would change rounding.
+//
+// Canonicalize is a one-shot wrapper over a fresh expression table; the
+// result is a fresh tree that shares no node with the input.
 func Canonicalize(e *ir.Expr) *ir.Expr {
-	args := make([]*ir.Expr, len(e.Args))
-	for i, a := range e.Args {
-		args[i] = Canonicalize(a)
-	}
-	n := &ir.Expr{
-		Op: e.Op, DX: e.DX, DY: e.DY, DC: e.DC,
-		Val: e.Val, F: e.F, Width: e.Width, SrcWidth: e.SrcWidth,
-		Sym: e.Sym, Table: e.Table, Elem: e.Elem, Args: args,
-	}
-	return rewrite(n)
+	t := newExprTable()
+	return t.canon(t.adopt(e)).Clone()
 }
 
-func rewrite(e *ir.Expr) *ir.Expr {
-	e = foldConst(e)
+// canon returns the canonical form of an interned node, computed once per
+// distinct node: the node rebuilt over its canonical children, rewritten.
+func (t *exprTable) canon(e *ir.Expr) *ir.Expr {
+	tn := t.byExpr[e]
+	if tn.canon != nil {
+		return tn.canon
+	}
+	var buf [3]*ir.Expr
+	args := buf[:0]
+	for _, a := range e.Args {
+		args = append(args, t.canon(a))
+	}
+	c := t.rewrite(t.node(*e, args...))
+	tn.canon = c
+	return c
+}
+
+// rewrite applies the canonicalizing rewrites to a node whose arguments
+// are already canonical, memoized per node.
+func (t *exprTable) rewrite(e *ir.Expr) *ir.Expr {
+	tn := t.byExpr[e]
+	if tn.rw == nil {
+		tn.rw = t.rewriteNode(e)
+	}
+	return tn.rw
+}
+
+func (t *exprTable) rewriteNode(e *ir.Expr) *ir.Expr {
+	e = t.foldConst(e)
 	if e.Op == ir.OpConst || e.Op == ir.OpConstF {
 		return e
 	}
 
 	switch e.Op {
 	case ir.OpSelect:
-		return rewriteSelect(e)
+		return t.rewriteSelect(e)
 	case ir.OpZExt:
 		// Zero extension of a value that already fits its source width is
 		// the value itself.
@@ -66,17 +88,17 @@ func rewrite(e *ir.Expr) *ir.Expr {
 	}
 
 	if e.Op.Associative() {
-		e = flatten(e)
+		e = t.flatten(e)
 		if e.Op == ir.OpConst || len(e.Args) == 1 {
 			if e.Op == ir.OpConst {
 				return e
 			}
 			return e.Args[0]
 		}
-		if m := matchMin(e); m != nil {
+		if m := t.matchMin(e); m != nil {
 			return m
 		}
-		if m := matchMax(e); m != nil {
+		if m := t.matchMax(e); m != nil {
 			return m
 		}
 	}
@@ -84,7 +106,7 @@ func rewrite(e *ir.Expr) *ir.Expr {
 }
 
 // foldConst evaluates operations whose arguments are all constants.
-func foldConst(e *ir.Expr) *ir.Expr {
+func (t *exprTable) foldConst(e *ir.Expr) *ir.Expr {
 	switch e.Op {
 	case ir.OpLoad, ir.OpConst, ir.OpConstF, ir.OpTable, ir.OpSelect:
 		return e
@@ -99,16 +121,16 @@ func foldConst(e *ir.Expr) *ir.Expr {
 		return e
 	}
 	if e.Op.IsFloat() {
-		return ir.ConstF(math.Float64frombits(v))
+		return t.constF(math.Float64frombits(v))
 	}
-	return ir.Const(int64(v))
+	return t.constant(int64(v))
 }
 
 // flatten merges nested chains of the same associative operation, combines
 // constant operands, drops identity elements and sorts the operands by
 // canonical key, so every unrolled copy of the same reduction linearizes
 // identically.
-func flatten(e *ir.Expr) *ir.Expr {
+func (t *exprTable) flatten(e *ir.Expr) *ir.Expr {
 	var args []*ir.Expr
 	var consts []int64
 	var walk func(n *ir.Expr)
@@ -155,14 +177,14 @@ func flatten(e *ir.Expr) *ir.Expr {
 			identity = cval == 0 && len(args) > 0
 		case ir.OpMul:
 			if cval == 0 {
-				return ir.Const(0)
+				return t.constant(0)
 			}
 			identity = cval == 1 && len(args) > 0
 		case ir.OpAnd:
 			identity = e.Width > 0 && uint64(cval) == maskOf(e.Width) && len(args) > 0
 		}
 		if !identity {
-			args = append(args, ir.Const(cval))
+			args = append(args, t.constant(cval))
 		}
 	}
 
@@ -173,12 +195,12 @@ func flatten(e *ir.Expr) *ir.Expr {
 		if ci != cj {
 			return cj
 		}
-		return args[i].Key() < args[j].Key()
+		return t.key(args[i]) < t.key(args[j])
 	})
 	if len(args) == 1 {
 		return args[0]
 	}
-	return &ir.Expr{Op: e.Op, Width: e.Width, Args: args}
+	return t.node(ir.Expr{Op: e.Op, Width: e.Width}, args...)
 }
 
 func maskOf(width int) uint64 {
@@ -193,7 +215,7 @@ func isConst(e *ir.Expr, v int64) bool {
 // lifting.  A constant condition picks its arm, equal arms collapse, and
 // the compare-and-pick shapes that are provably clamps become min/max —
 // anything else stays a select.
-func rewriteSelect(e *ir.Expr) *ir.Expr {
+func (t *exprTable) rewriteSelect(e *ir.Expr) *ir.Expr {
 	cond, a, b := e.Args[0], e.Args[1], e.Args[2]
 	if cond.Op == ir.OpConst {
 		if cond.Val != 0 {
@@ -201,7 +223,7 @@ func rewriteSelect(e *ir.Expr) *ir.Expr {
 		}
 		return b
 	}
-	if a.Key() == b.Key() {
+	if t.sameKey(a, b) {
 		return a
 	}
 	// Hoist the store-narrowing byte extraction out of the arms so clamp
@@ -213,7 +235,7 @@ func rewriteSelect(e *ir.Expr) *ir.Expr {
 	// constant arm that already fits the extracted width is its own
 	// extraction).  The rewritten select often becomes min/max, whose
 	// bounds then discharge the extraction entirely.
-	if h := hoistExtract(cond, a, b); h != nil {
+	if h := t.hoistExtract(cond, a, b); h != nil {
 		return h
 	}
 	if cond.Op != ir.OpCmpLtS && cond.Op != ir.OpCmpLeS {
@@ -223,13 +245,13 @@ func rewriteSelect(e *ir.Expr) *ir.Expr {
 	// Both hold for <= as well: on equality every form yields the same
 	// value.
 	l, r := cond.Args[0], cond.Args[1]
-	lk, rk, ak, bk := l.Key(), r.Key(), a.Key(), b.Key()
+	lk, rk, ak, bk := t.key(l), t.key(r), t.key(a), t.key(b)
 	w := cond.Width
 	if ak == lk && bk == rk {
-		return rewrite(&ir.Expr{Op: ir.OpMin, Width: w, Args: []*ir.Expr{a, b}})
+		return t.rewrite(t.bin(ir.OpMin, w, a, b))
 	}
 	if ak == rk && bk == lk {
-		return rewrite(&ir.Expr{Op: ir.OpMax, Width: w, Args: []*ir.Expr{a, b}})
+		return t.rewrite(t.bin(ir.OpMax, w, a, b))
 	}
 	// Two-sided clamps built from sequential branches:
 	//
@@ -240,18 +262,14 @@ func rewriteSelect(e *ir.Expr) *ir.Expr {
 	// clamp constants are ordered).
 	if l.Op == ir.OpConst && b.Op == ir.OpConst && l.Val == b.Val &&
 		a.Op == ir.OpMin && len(a.Args) == 2 {
-		if c := constOperand(a, rk); c != nil && c.Val >= l.Val {
-			return rewrite(&ir.Expr{Op: ir.OpMin, Width: w, Args: []*ir.Expr{
-				rewrite(&ir.Expr{Op: ir.OpMax, Width: w, Args: []*ir.Expr{r, ir.Const(l.Val)}}), c,
-			}})
+		if c := t.constOperand(a, rk); c != nil && c.Val >= l.Val {
+			return t.rewrite(t.bin(ir.OpMin, w, t.rewrite(t.bin(ir.OpMax, w, r, t.constant(l.Val))), c))
 		}
 	}
 	if r.Op == ir.OpConst && b.Op == ir.OpConst && r.Val == b.Val &&
 		a.Op == ir.OpMax && len(a.Args) == 2 {
-		if c := constOperand(a, lk); c != nil && r.Val >= c.Val {
-			return rewrite(&ir.Expr{Op: ir.OpMin, Width: w, Args: []*ir.Expr{
-				rewrite(&ir.Expr{Op: ir.OpMax, Width: w, Args: []*ir.Expr{l, c}}), ir.Const(r.Val),
-			}})
+		if c := t.constOperand(a, lk); c != nil && r.Val >= c.Val {
+			return t.rewrite(t.bin(ir.OpMin, w, t.rewrite(t.bin(ir.OpMax, w, l, c)), t.constant(r.Val)))
 		}
 	}
 	return e
@@ -260,7 +278,7 @@ func rewriteSelect(e *ir.Expr) *ir.Expr {
 // hoistExtract rewrites select(c, byte0(x), y) to byte0(select(c, x, y))
 // when y is a constant fitting the extracted width (or an identical
 // extraction), and nil when the shape does not apply.
-func hoistExtract(cond, a, b *ir.Expr) *ir.Expr {
+func (t *exprTable) hoistExtract(cond, a, b *ir.Expr) *ir.Expr {
 	ex := a
 	other, otherFirst := b, false
 	if ex.Op != ir.OpExtract || ex.Val != 0 {
@@ -278,19 +296,19 @@ func hoistExtract(cond, a, b *ir.Expr) *ir.Expr {
 	default:
 		return nil
 	}
-	args := []*ir.Expr{cond, ex.Args[0], inner}
+	x, y := ex.Args[0], inner
 	if otherFirst {
-		args = []*ir.Expr{cond, inner, ex.Args[0]}
+		x, y = y, x
 	}
-	sel := rewriteSelect(&ir.Expr{Op: ir.OpSelect, Args: args})
-	return rewrite(&ir.Expr{Op: ir.OpExtract, Val: 0, Width: ex.Width, SrcWidth: ex.SrcWidth, Args: []*ir.Expr{sel}})
+	sel := t.rewriteSelect(t.node(ir.Expr{Op: ir.OpSelect}, cond, x, y))
+	return t.rewrite(t.node(ir.Expr{Op: ir.OpExtract, Val: 0, Width: ex.Width, SrcWidth: ex.SrcWidth}, sel))
 }
 
 // constOperand returns the constant bound of a two-operand min/max whose
 // other operand's key is vKey.
-func constOperand(m *ir.Expr, vKey string) *ir.Expr {
+func (t *exprTable) constOperand(m *ir.Expr, vKey string) *ir.Expr {
 	for i, arg := range m.Args {
-		if arg.Op == ir.OpConst && m.Args[1-i].Key() == vKey {
+		if arg.Op == ir.OpConst && t.key(m.Args[1-i]) == vKey {
 			return arg
 		}
 	}
@@ -302,7 +320,7 @@ func constOperand(m *ir.Expr, vKey string) *ir.Expr {
 //	x & ^(x >>a 31)  ==  max(x, 0)
 //
 // on a flattened, sorted AND node.
-func matchMax(e *ir.Expr) *ir.Expr {
+func (t *exprTable) matchMax(e *ir.Expr) *ir.Expr {
 	if e.Op != ir.OpAnd || len(e.Args) != 2 || e.Width != 4 {
 		return nil
 	}
@@ -315,8 +333,8 @@ func matchMax(e *ir.Expr) *ir.Expr {
 		if sar.Op != ir.OpSar || !isConst(sar.Args[1], 31) {
 			continue
 		}
-		if sar.Args[0].Key() == x.Key() {
-			return &ir.Expr{Op: ir.OpMax, Width: 4, Args: []*ir.Expr{x, ir.Const(0)}}
+		if t.sameKey(sar.Args[0], x) {
+			return t.bin(ir.OpMax, 4, x, t.constant(0))
 		}
 	}
 	return nil
@@ -327,7 +345,7 @@ func matchMax(e *ir.Expr) *ir.Expr {
 //	c + ((x - c) & ((x - c) >>a 31))  ==  min(x, c)
 //
 // on a flattened, sorted ADD node.
-func matchMin(e *ir.Expr) *ir.Expr {
+func (t *exprTable) matchMin(e *ir.Expr) *ir.Expr {
 	if e.Op != ir.OpAdd || len(e.Args) != 2 || e.Width != 4 {
 		return nil
 	}
@@ -337,14 +355,14 @@ func matchMin(e *ir.Expr) *ir.Expr {
 			continue
 		}
 		for j := 0; j < 2; j++ {
-			t, sar := and.Args[j], and.Args[1-j]
-			if sar.Op != ir.OpSar || !isConst(sar.Args[1], 31) || sar.Args[0].Key() != t.Key() {
+			d, sar := and.Args[j], and.Args[1-j]
+			if sar.Op != ir.OpSar || !isConst(sar.Args[1], 31) || !t.sameKey(sar.Args[0], d) {
 				continue
 			}
-			if t.Op != ir.OpSub || !isConst(t.Args[1], c.Val) {
+			if d.Op != ir.OpSub || !isConst(d.Args[1], c.Val) {
 				continue
 			}
-			return &ir.Expr{Op: ir.OpMin, Width: 4, Args: []*ir.Expr{t.Args[0], ir.Const(c.Val)}}
+			return t.bin(ir.OpMin, 4, d.Args[0], t.constant(c.Val))
 		}
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"helium/internal/ir"
 	"helium/internal/isa"
@@ -77,8 +78,13 @@ type extractor struct {
 	// windows guard collection scans.
 	outWrites []int
 
-	// memo caches resolved references by their defining write, so shared
-	// subexpressions become shared nodes within one sample's tree.
+	// t interns every node the extractor builds, so a node repeated from
+	// an earlier sample is a lookup rather than an allocation.
+	t *exprTable
+
+	// memo caches resolved references by their defining write, so the
+	// slice walks each definition once per sample; it is cleared, not
+	// reallocated, between samples.
 	memo  map[memoKey]*ir.Expr
 	nodes int
 	// limit is the active node budget: maxTreeNodes for the value slice,
@@ -92,6 +98,17 @@ type memoKey struct {
 	width    uint8
 }
 
+// newExtractor returns an extractor with its own expression table.
+func newExtractor(tr *trace.InstTrace, prog *isa.Program, bufs *Buffers, abs bool) *extractor {
+	return &extractor{tr: tr, prog: prog, bufs: bufs, abs: abs, t: newExprTable(), memo: make(map[memoKey]*ir.Expr)}
+}
+
+// reset starts a fresh slice under the full tree budget.
+func (ex *extractor) reset() {
+	clear(ex.memo)
+	ex.nodes, ex.limit = 0, maxTreeNodes
+}
+
 // Extract builds one expression tree per written output sample by slicing
 // backward from the final write to each sample through the dynamic
 // instruction trace (paper sections 4.5-4.7).  Trees terminate at input
@@ -102,6 +119,9 @@ type memoKey struct {
 //
 // Per-sample slices are independent (the memo is reset per sample), so the
 // samples are distributed over a bounded worker pool sized by GOMAXPROCS.
+// Each worker builds its trees through its own expression table, so the
+// returned trees share structurally equal subtrees and must be treated as
+// immutable.
 func Extract(tr *trace.InstTrace, prog *isa.Program, bufs *Buffers) ([]SampleTree, error) {
 	return ExtractWorkers(tr, prog, bufs, 0)
 }
@@ -132,8 +152,16 @@ func extractTrees(tr *trace.InstTrace, prog *isa.Program, bufs *Buffers, workers
 	// One sample per chunk: a single backward slice is heavy enough that
 	// the hand-out cursor never dominates, and finer chunks balance the
 	// very uneven per-sample slicing cost.
+	var mu sync.Mutex
+	var tables []*exprTable
 	err := par.For(total, 1, workers, func(int) func(int, int) error {
-		ex := &extractor{tr: tr, prog: prog, bufs: bufs, outWrites: outWrites, abs: abs}
+		ex := newExtractor(tr, prog, bufs, abs)
+		ex.outWrites = outWrites
+		if testHookTable != nil {
+			mu.Lock()
+			tables = append(tables, ex.t)
+			mu.Unlock()
+		}
 		return func(start, end int) error {
 			for i := start; i < end; i++ {
 				y, b := i/out.RowBytes, i%out.RowBytes
@@ -147,6 +175,9 @@ func extractTrees(tr *trace.InstTrace, prog *isa.Program, bufs *Buffers, workers
 			return nil
 		}
 	})
+	for _, t := range tables {
+		testHookTable("extract", t)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -189,9 +220,7 @@ func (ex *extractor) sample(x, y, c int) (*ir.Expr, []Guard, error) {
 	}
 
 	ex.xo, ex.yo, ex.curChannel = x, y, c
-	ex.memo = make(map[memoKey]*ir.Expr)
-	ex.nodes = 0
-	ex.limit = maxTreeNodes
+	ex.reset()
 
 	e, err := ex.effectExpr(di, ef)
 	if err != nil {
@@ -202,7 +231,7 @@ func (ex *extractor) sample(x, y, c int) (*ir.Expr, []Guard, error) {
 		if ef.Dst.Float {
 			return nil, nil, fmt.Errorf("output byte %#x is a narrow view of a %d-byte float store; float narrowing is not liftable", addr, ef.Dst.Width)
 		}
-		e = &ir.Expr{Op: ir.OpExtract, Val: int64(off), Width: 1, SrcWidth: int(ef.Dst.Width), Args: []*ir.Expr{e}}
+		e = ex.t.node(ir.Expr{Op: ir.OpExtract, Val: int64(off), Width: 1, SrcWidth: int(ef.Dst.Width)}, e)
 	}
 	guards, err := ex.collectGuards(seq)
 	if err != nil {
@@ -231,7 +260,6 @@ func (ex *extractor) collectGuards(seq int) ([]Guard, error) {
 		start = tb.LastWrite + 1
 	}
 	var guards []Guard
-	byKey := make(map[string]int)
 	for s := start; s < seq; s++ {
 		di := &ex.tr.Insts[s]
 		if !di.Op.IsCondJump() {
@@ -250,18 +278,21 @@ func (ex *extractor) collectGuards(seq int) ([]Guard, error) {
 			}
 			return nil, fmt.Errorf("guard at seq %d: %w", s, err)
 		}
-		cond = Canonicalize(cond)
-		if !containsLoad(cond) {
+		// Canonicalization never introduces a load, so loop control is
+		// discarded before it is canonicalized.
+		if !ex.t.hasLoad(cond) {
 			continue
 		}
-		key := cond.Key()
-		if prev, ok := byKey[key]; ok {
+		if cond = ex.t.canon(cond); !ex.t.hasLoad(cond) {
+			continue
+		}
+		key := ex.t.key(cond)
+		if prev := guardIndex(guards, key); prev >= 0 {
 			if guards[prev].Taken != di.Taken {
 				return nil, fmt.Errorf("guard at seq %d: condition %s observed with both outcomes in one sample window", s, cond)
 			}
 			continue
 		}
-		byKey[key] = len(guards)
 		guards = append(guards, Guard{Key: key, Cond: cond, Taken: di.Taken})
 		if len(guards) > maxGuards {
 			return nil, fmt.Errorf("sample window is predicated on more than %d data-dependent branches", maxGuards)
@@ -270,11 +301,14 @@ func (ex *extractor) collectGuards(seq int) ([]Guard, error) {
 	return guards, nil
 }
 
-// containsLoad reports whether the expression reads any input sample.
-func containsLoad(e *ir.Expr) bool {
-	found := false
-	visitLoads(e, func(*ir.Expr) { found = true })
-	return found
+// guardIndex returns the position of the guard with the given key, or -1.
+func guardIndex(guards []Guard, key string) int {
+	for i := range guards {
+		if guards[i].Key == key {
+			return i
+		}
+	}
+	return -1
 }
 
 // condExpr lifts the condition of the conditional jump or set opcode cc
@@ -307,7 +341,7 @@ func (ex *extractor) condExpr(seq int, cc isa.Opcode) (*ir.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return predAfterCmp(cc, width, a, b, pdi)
+		return predAfterCmp(ex.t, cc, width, a, b, pdi)
 
 	case trace.OpTest:
 		a, err := ex.refExpr(pdi.Seq, ef.Srcs[0])
@@ -319,10 +353,10 @@ func (ex *extractor) condExpr(seq int, cc isa.Opcode) (*ir.Expr, error) {
 			return nil, err
 		}
 		v := a
-		if a.Key() != b.Key() {
-			v = ir.Bin(ir.OpAnd, width, a, b)
+		if !ex.t.sameKey(a, b) {
+			v = ex.t.bin(ir.OpAnd, width, a, b)
 		}
-		return predOfValue(cc, width, v, pdi)
+		return predOfValue(ex.t, cc, width, v, pdi)
 
 	default:
 		// An arithmetic instruction set the flags: the sign and zero
@@ -336,7 +370,7 @@ func (ex *extractor) condExpr(seq int, cc isa.Opcode) (*ir.Expr, error) {
 				if err != nil {
 					return nil, err
 				}
-				return predOfValue(cc, width, v, pdi)
+				return predOfValue(ex.t, cc, width, v, pdi)
 			}
 		}
 		return nil, fmt.Errorf("%v at %#x consumes flags of %v at %#x, which has no reconstructible value; the nearest liftable pattern compares with cmp or test",
@@ -346,28 +380,28 @@ func (ex *extractor) condExpr(seq int, cc isa.Opcode) (*ir.Expr, error) {
 
 // predAfterCmp maps a condition code evaluated after cmp(a, b) onto the
 // IR comparison that is true exactly when the condition holds.
-func predAfterCmp(cc isa.Opcode, w int, a, b *ir.Expr, pdi *trace.DynInst) (*ir.Expr, error) {
+func predAfterCmp(t *exprTable, cc isa.Opcode, w int, a, b *ir.Expr, pdi *trace.DynInst) (*ir.Expr, error) {
 	switch cc {
 	case isa.JZ, isa.SETZ:
-		return ir.Bin(ir.OpCmpEq, w, a, b), nil
+		return t.bin(ir.OpCmpEq, w, a, b), nil
 	case isa.JNZ, isa.SETNZ:
-		return ir.Bin(ir.OpCmpNe, w, a, b), nil
+		return t.bin(ir.OpCmpNe, w, a, b), nil
 	case isa.JL:
-		return ir.Bin(ir.OpCmpLtS, w, a, b), nil
+		return t.bin(ir.OpCmpLtS, w, a, b), nil
 	case isa.JGE:
-		return ir.Bin(ir.OpCmpLeS, w, b, a), nil
+		return t.bin(ir.OpCmpLeS, w, b, a), nil
 	case isa.JLE:
-		return ir.Bin(ir.OpCmpLeS, w, a, b), nil
+		return t.bin(ir.OpCmpLeS, w, a, b), nil
 	case isa.JG:
-		return ir.Bin(ir.OpCmpLtS, w, b, a), nil
+		return t.bin(ir.OpCmpLtS, w, b, a), nil
 	case isa.JB, isa.SETB:
-		return ir.Bin(ir.OpCmpLtU, w, a, b), nil
+		return t.bin(ir.OpCmpLtU, w, a, b), nil
 	case isa.JNB, isa.SETNB:
-		return ir.Bin(ir.OpCmpLeU, w, b, a), nil
+		return t.bin(ir.OpCmpLeU, w, b, a), nil
 	case isa.JBE:
-		return ir.Bin(ir.OpCmpLeU, w, a, b), nil
+		return t.bin(ir.OpCmpLeU, w, a, b), nil
 	case isa.JA:
-		return ir.Bin(ir.OpCmpLtU, w, b, a), nil
+		return t.bin(ir.OpCmpLtU, w, b, a), nil
 	}
 	return nil, fmt.Errorf("%v after %v at %#x mixes sign and overflow flags and is not liftable; the nearest supported patterns are the signed (jl/jge/jle/jg) and unsigned (jb/jnb/jbe/ja) compare-and-branch forms",
 		cc, pdi.Op, pdi.Addr)
@@ -375,17 +409,17 @@ func predAfterCmp(cc isa.Opcode, w int, a, b *ir.Expr, pdi *trace.DynInst) (*ir.
 
 // predOfValue maps a condition code onto a predicate over a reconstructed
 // result value (test a, a; arithmetic flag producers).
-func predOfValue(cc isa.Opcode, w int, v *ir.Expr, pdi *trace.DynInst) (*ir.Expr, error) {
-	zero := ir.Const(0)
+func predOfValue(t *exprTable, cc isa.Opcode, w int, v *ir.Expr, pdi *trace.DynInst) (*ir.Expr, error) {
+	zero := t.constant(0)
 	switch cc {
 	case isa.JZ, isa.SETZ:
-		return ir.Bin(ir.OpCmpEq, w, v, zero), nil
+		return t.bin(ir.OpCmpEq, w, v, zero), nil
 	case isa.JNZ, isa.SETNZ:
-		return ir.Bin(ir.OpCmpNe, w, v, zero), nil
+		return t.bin(ir.OpCmpNe, w, v, zero), nil
 	case isa.JS:
-		return ir.Bin(ir.OpCmpLtS, w, v, zero), nil
+		return t.bin(ir.OpCmpLtS, w, v, zero), nil
 	case isa.JNS:
-		return ir.Bin(ir.OpCmpLeS, w, zero, v), nil
+		return t.bin(ir.OpCmpLeS, w, zero, v), nil
 	}
 	return nil, fmt.Errorf("%v after %v at %#x needs carry or overflow state a value slice cannot reconstruct; the nearest supported pattern is an explicit cmp before the branch",
 		cc, pdi.Op, pdi.Addr)
@@ -412,10 +446,7 @@ func (ex *extractor) refExpr(seq int, ref trace.Ref) (*ir.Expr, error) {
 	switch ref.Space {
 	case trace.SpaceImm:
 		ex.nodes++
-		if ref.Float {
-			return ir.ConstF(ref.FVal), nil
-		}
-		return ir.Const(int64(ref.Val)), nil
+		return ex.refConst(ref), nil
 	case trace.SpaceFlags:
 		return nil, fmt.Errorf("%v at %#x (seq %d) consumes raw flag bits as data; only setcc, conditional branches and cmp/test flag flows are liftable",
 			ex.tr.Insts[seq].Op, ex.tr.Insts[seq].Addr, seq)
@@ -466,10 +497,15 @@ func (ex *extractor) refExpr(seq int, ref trace.Ref) (*ir.Expr, error) {
 	// Environment constant: host-initialized state (parameters, stack
 	// contents) observed with a fixed value.
 	ex.nodes++
+	return ex.refConst(ref), nil
+}
+
+// refConst lifts the value a reference was observed with as a constant.
+func (ex *extractor) refConst(ref trace.Ref) *ir.Expr {
 	if ref.Float {
-		return ir.ConstF(ref.FVal), nil
+		return ex.t.constF(ref.FVal)
 	}
-	return ir.Const(int64(ref.Val)), nil
+	return ex.t.constant(int64(ref.Val))
 }
 
 // throughWrite continues the slice through the effect that last wrote ref.
@@ -491,7 +527,7 @@ func (ex *extractor) throughWrite(w int, ref trace.Ref) (*ir.Expr, error) {
 			return nil, fmt.Errorf("seq %d: narrow read of a %d-byte float value; float narrowing is not liftable", w, ef.Dst.Width)
 		}
 		ex.nodes++
-		e = &ir.Expr{Op: ir.OpExtract, Val: int64(off), Width: int(ref.Width), SrcWidth: int(ef.Dst.Width), Args: []*ir.Expr{e}}
+		e = ex.t.node(ir.Expr{Op: ir.OpExtract, Val: int64(off), Width: int(ref.Width), SrcWidth: int(ef.Dst.Width)}, e)
 	}
 	return e, nil
 }
@@ -500,16 +536,6 @@ func (ex *extractor) throughWrite(w int, ref trace.Ref) (*ir.Expr, error) {
 func (ex *extractor) effectExpr(di *trace.DynInst, ef *trace.Effect) (*ir.Expr, error) {
 	ex.nodes++
 	w := int(ef.Dst.Width)
-
-	simple := map[trace.ExprOp]ir.Op{
-		trace.OpAdd: ir.OpAdd, trace.OpSub: ir.OpSub, trace.OpMul: ir.OpMul,
-		trace.OpMulHi: ir.OpMulHi, trace.OpDiv: ir.OpDiv, trace.OpMod: ir.OpMod,
-		trace.OpAnd: ir.OpAnd, trace.OpOr: ir.OpOr, trace.OpXor: ir.OpXor,
-		trace.OpShl: ir.OpShl, trace.OpShr: ir.OpShr, trace.OpSar: ir.OpSar,
-		trace.OpNot: ir.OpNot, trace.OpNeg: ir.OpNeg,
-		trace.OpFAdd: ir.OpFAdd, trace.OpFSub: ir.OpFSub,
-		trace.OpFMul: ir.OpFMul, trace.OpFDiv: ir.OpFDiv,
-	}
 
 	switch ef.Op {
 	case trace.OpIdentity:
@@ -524,7 +550,7 @@ func (ex *extractor) effectExpr(di *trace.DynInst, ef *trace.Effect) (*ir.Expr, 
 		if ef.Op == trace.OpSExt {
 			op = ir.OpSExt
 		}
-		return &ir.Expr{Op: op, Width: w, SrcWidth: int(ef.Srcs[0].Width), Args: []*ir.Expr{child}}, nil
+		return ex.t.node(ir.Expr{Op: op, Width: w, SrcWidth: int(ef.Srcs[0].Width)}, child), nil
 
 	case trace.OpLea:
 		// srcs = [base, index, scale, disp]: expand the address arithmetic.
@@ -540,30 +566,30 @@ func (ex *extractor) effectExpr(di *trace.DynInst, ef *trace.Effect) (*ir.Expr, 
 		disp := int64(int32(ef.Srcs[3].Val))
 		scaled := index
 		if scale != 1 {
-			scaled = ir.Bin(ir.OpMul, w, index, ir.Const(scale))
+			scaled = ex.t.bin(ir.OpMul, w, index, ex.t.constant(scale))
 		}
-		return ir.Bin(ir.OpAdd, w, ir.Bin(ir.OpAdd, w, base, scaled), ir.Const(disp)), nil
+		return ex.t.bin(ir.OpAdd, w, ex.t.bin(ir.OpAdd, w, base, scaled), ex.t.constant(disp)), nil
 
 	case trace.OpCall:
 		child, err := ex.refExpr(di.Seq, ef.Srcs[0])
 		if err != nil {
 			return nil, err
 		}
-		return &ir.Expr{Op: ir.OpCall, Sym: di.Sym, Args: []*ir.Expr{child}}, nil
+		return ex.t.node(ir.Expr{Op: ir.OpCall, Sym: di.Sym}, child), nil
 
 	case trace.OpIntToFP:
 		child, err := ex.refExpr(di.Seq, ef.Srcs[0])
 		if err != nil {
 			return nil, err
 		}
-		return &ir.Expr{Op: ir.OpIntToFP, SrcWidth: int(ef.Srcs[0].Width), Args: []*ir.Expr{child}}, nil
+		return ex.t.node(ir.Expr{Op: ir.OpIntToFP, SrcWidth: int(ef.Srcs[0].Width)}, child), nil
 
 	case trace.OpFPToInt:
 		child, err := ex.refExpr(di.Seq, ef.Srcs[0])
 		if err != nil {
 			return nil, err
 		}
-		return &ir.Expr{Op: ir.OpFPToInt, Width: w, Args: []*ir.Expr{child}}, nil
+		return ex.t.node(ir.Expr{Op: ir.OpFPToInt, Width: w}, child), nil
 
 	case trace.OpSelectSet:
 		// setcc materializes a flag condition as a 0/1 byte: lift the
@@ -575,7 +601,7 @@ func (ex *extractor) effectExpr(di *trace.DynInst, ef *trace.Effect) (*ir.Expr, 
 		return cond, nil
 	}
 
-	op, ok := simple[ef.Op]
+	op, ok := simpleOps[ef.Op]
 	if !ok {
 		return nil, fmt.Errorf("%v at %#x (seq %d): effect op %v is not liftable", di.Op, di.Addr, di.Seq, ef.Op)
 	}
@@ -583,7 +609,7 @@ func (ex *extractor) effectExpr(di *trace.DynInst, ef *trace.Effect) (*ir.Expr, 
 		return nil, fmt.Errorf("%v at %#x (seq %d): %v with %d operands reads the carry flag as data; flag-carrying chains (adc/sbb) are not liftable — the nearest supported pattern is plain add/sub at the full operand width",
 			di.Op, di.Addr, di.Seq, ef.Op, len(ef.Srcs))
 	}
-	args := make([]*ir.Expr, len(ef.Srcs))
+	var args [2]*ir.Expr
 	for i, src := range ef.Srcs {
 		child, err := ex.refExpr(di.Seq, src)
 		if err != nil {
@@ -591,7 +617,18 @@ func (ex *extractor) effectExpr(di *trace.DynInst, ef *trace.Effect) (*ir.Expr, 
 		}
 		args[i] = child
 	}
-	return &ir.Expr{Op: op, Width: w, Args: args}, nil
+	return ex.t.node(ir.Expr{Op: op, Width: w}, args[:len(ef.Srcs)]...), nil
+}
+
+// simpleOps maps the trace's plain arithmetic effects onto IR operators.
+var simpleOps = map[trace.ExprOp]ir.Op{
+	trace.OpAdd: ir.OpAdd, trace.OpSub: ir.OpSub, trace.OpMul: ir.OpMul,
+	trace.OpMulHi: ir.OpMulHi, trace.OpDiv: ir.OpDiv, trace.OpMod: ir.OpMod,
+	trace.OpAnd: ir.OpAnd, trace.OpOr: ir.OpOr, trace.OpXor: ir.OpXor,
+	trace.OpShl: ir.OpShl, trace.OpShr: ir.OpShr, trace.OpSar: ir.OpSar,
+	trace.OpNot: ir.OpNot, trace.OpNeg: ir.OpNeg,
+	trace.OpFAdd: ir.OpFAdd, trace.OpFSub: ir.OpFSub,
+	trace.OpFMul: ir.OpFMul, trace.OpFDiv: ir.OpFDiv,
 }
 
 func arity(op ir.Op) int {
@@ -627,10 +664,11 @@ func (ex *extractor) inputLoad(ref trace.Ref) (*ir.Expr, bool) {
 		} else {
 			xi, ci = int(rem), 0
 		}
-		return ir.Load(xi, int(y0), ci), true
+		return ex.t.load(xi, int(y0), ci), true
 	}
 
-	best := (*ir.Expr)(nil)
+	found := false
+	var bdx, bdy, bdc int
 	bestDist := stencilRadius*2 + 1
 	for _, cand := range [][2]int64{
 		{y0, rem},
@@ -650,13 +688,13 @@ func (ex *extractor) inputLoad(ref trace.Ref) (*ir.Expr, bool) {
 		}
 		if d := abs(dx) + abs(dy); d < bestDist {
 			bestDist = d
-			best = ir.Load(dx, dy, ci-ex.curC())
+			found, bdx, bdy, bdc = true, dx, dy, ci-ex.curC()
 		}
 	}
-	if best == nil {
+	if !found {
 		return nil, false
 	}
-	return best, true
+	return ex.t.load(bdx, bdy, bdc), true
 }
 
 // curC returns the channel of the sample being sliced; for planar inputs
@@ -688,10 +726,7 @@ func (ex *extractor) segmentRef(seq int, ref trace.Ref, seg *isa.Segment) (*ir.E
 	di := &ex.tr.Insts[seq]
 	if len(di.AddrRefs) == 0 || !di.HasMem || di.MemAddr != ref.Addr {
 		ex.nodes++
-		if ref.Float {
-			return ir.ConstF(ref.FVal), nil
-		}
-		return ir.Const(int64(ref.Val)), nil
+		return ex.refConst(ref), nil
 	}
 
 	// Rebuild the index expression from the static operand's address
@@ -725,27 +760,22 @@ func (ex *extractor) segmentRef(seq int, ref trace.Ref, seg *isa.Segment) (*ir.E
 			return nil, err
 		}
 		if memOp.Scale != 1 {
-			e = ir.Bin(ir.OpMul, 4, e, ir.Const(int64(memOp.Scale)))
+			e = ex.t.bin(ir.OpMul, 4, e, ex.t.constant(int64(memOp.Scale)))
 		}
 		terms = append(terms, e)
 	}
 	if disp := int64(memOp.Disp) - int64(seg.Addr); disp != 0 || len(terms) == 0 {
-		terms = append(terms, ir.Const(disp))
+		terms = append(terms, ex.t.constant(disp))
 	}
 	index := terms[0]
-	for _, t := range terms[1:] {
-		index = ir.Bin(ir.OpAdd, 4, index, t)
+	for _, term := range terms[1:] {
+		index = ex.t.bin(ir.OpAdd, 4, index, term)
 	}
 	if int(ref.Width) == 0 {
 		return nil, fmt.Errorf("seq %d: zero-width table access", seq)
 	}
 	ex.nodes++
-	return &ir.Expr{
-		Op:    ir.OpTable,
-		Table: seg.Data,
-		Elem:  int(ref.Width),
-		Args:  []*ir.Expr{index},
-	}, nil
+	return ex.t.node(ir.Expr{Op: ir.OpTable, Table: seg.Data, Elem: int(ref.Width)}, index), nil
 }
 
 // tableInRef lifts a read of an earlier stage's reduction table as a
@@ -811,7 +841,7 @@ func (ex *extractor) tableInRef(seq int, ref trace.Ref, tb *TableDesc) (*ir.Expr
 
 	var idx *ir.Expr
 	if memOp.Index == isa.RegNone {
-		idx = ir.Const(residual / int64(tb.Elem))
+		idx = ex.t.constant(residual / int64(tb.Elem))
 	} else {
 		if int(memOp.Scale) != tb.Elem {
 			return nil, fmt.Errorf("seq %d: table read scales its index by %d but slots are %d bytes wide", seq, memOp.Scale, tb.Elem)
@@ -822,11 +852,11 @@ func (ex *extractor) tableInRef(seq int, ref trace.Ref, tb *TableDesc) (*ir.Expr
 		}
 		idx = e
 		if k := residual / int64(tb.Elem); k != 0 {
-			idx = ir.Bin(ir.OpAdd, 4, idx, ir.Const(k))
+			idx = ex.t.bin(ir.OpAdd, 4, idx, ex.t.constant(k))
 		}
 	}
 	ex.nodes++
-	return &ir.Expr{Op: ir.OpTableIn, Elem: tb.Elem, Args: []*ir.Expr{idx}}, nil
+	return ex.t.node(ir.Expr{Op: ir.OpTableIn, Elem: tb.Elem}, idx), nil
 }
 
 // addrRegExpr resolves the captured pre-execution value reference of an

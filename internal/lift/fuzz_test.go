@@ -1,6 +1,7 @@
 package lift
 
 import (
+	"sync"
 	"testing"
 
 	"helium/internal/ir"
@@ -86,20 +87,49 @@ func (d *exprDecoder) expr(depth int) *ir.Expr {
 	}
 }
 
+// sharedCanon is the expression table FuzzCanon reuses across inputs, so
+// each input is canonicalized by a table that has already interned and
+// canonicalized the previous ones.  It is reset when it grows large, to
+// keep long fuzzing runs bounded.
+var sharedCanon struct {
+	sync.Mutex
+	t *exprTable
+}
+
 // FuzzCanon throws arbitrary well-formed trees at the canonicalizer and
-// holds it to its two structural guarantees: it terminates without
-// panicking, and it is idempotent — canonical form is a fixed point, so
-// re-canonicalizing never changes the tree's key.  (Idempotence is what
+// holds it to its structural guarantees: it terminates without
+// panicking; it is idempotent — canonical form is a fixed point, so
+// re-canonicalizing never changes the tree's key (idempotence is what
 // unification leans on: trees are compared by canonical key, so a canon
-// that kept drifting would collapse nothing.)
+// that kept drifting would collapse nothing); and memoization is exact —
+// a table that already holds earlier inputs' nodes and canonical forms
+// canonicalizes the input to the same key as a fresh Canonicalize.
 func FuzzCanon(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := &exprDecoder{data: data}
 		e := d.expr(0)
+		before := e.Key()
 		c1 := Canonicalize(e)
 		c2 := Canonicalize(c1)
 		if k1, k2 := c1.Key(), c2.Key(); k1 != k2 {
 			t.Fatalf("canonicalization is not idempotent:\n first: %s\nsecond: %s", k1, k2)
+		}
+
+		sharedCanon.Lock()
+		defer sharedCanon.Unlock()
+		if sharedCanon.t == nil || sharedCanon.t.Len() > 1<<16 {
+			sharedCanon.t = newExprTable()
+		}
+		st := sharedCanon.t
+		sc := st.canon(st.adopt(e))
+		if got, want := st.key(sc), c1.Key(); got != want {
+			t.Fatalf("shared-table canonicalization differs from a fresh one:\nshared: %s\n fresh: %s", got, want)
+		}
+		if got, want := st.key(st.canon(sc)), c1.Key(); got != want {
+			t.Fatalf("shared-table canonicalization is not idempotent:\n first: %s\nsecond: %s", want, got)
+		}
+		if got := e.Key(); got != before {
+			t.Fatalf("canonicalization mutated its input:\n before: %s\n  after: %s", before, got)
 		}
 	})
 }

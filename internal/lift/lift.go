@@ -3,6 +3,7 @@ package lift
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -262,56 +263,88 @@ func groupKey(exprKey string, guards map[string]guardVal) string {
 	return b.String()
 }
 
+// groupSig identifies a sample's tree group without rendering strings:
+// the key class of its canonical root plus its guard assignment, each
+// guard as its condition's key class with the outcome in the low bit,
+// sorted so the order branches executed in does not matter.
+type groupSig struct {
+	root   int32
+	n      int32
+	guards [maxGuards]int32
+}
+
 // unify canonicalizes all sample trees, merges predicated families into
 // select trees, demands a single tree per channel, and assembles the
 // lifted kernel with stencil offsets centered on the input pixel
-// corresponding to each output pixel.
+// corresponding to each output pixel.  The stage's trees are interned in
+// one table, so canonicalization runs once per distinct node and samples
+// group by the interned identity of their canonical root and guards.
 func unify(name string, bufs *Buffers, trees []SampleTree, canonDur *time.Duration) (*ir.Kernel, error) {
-	channels := bufs.Out.Channels
-	groups := make([]map[string]*gtree, channels)
-	for c := range groups {
-		groups[c] = make(map[string]*gtree)
+	t := newExprTable()
+	if testHookTable != nil {
+		defer testHookTable("unify", t)
 	}
-	for _, st := range trees {
-		tc := time.Now()
-		canon := Canonicalize(st.Expr)
-		*canonDur += time.Since(tc)
-		guards := make(map[string]guardVal, len(st.Guards))
-		for _, g := range st.Guards {
-			guards[g.Key] = guardVal{cond: g.Cond, taken: g.Taken}
+	tc := time.Now()
+	roots := make([]*ir.Expr, len(trees))
+	for i := range trees {
+		roots[i] = t.canon(t.adopt(trees[i].Expr))
+	}
+	*canonDur += time.Since(tc)
+
+	channels := bufs.Out.Channels
+	groups := make([]map[groupSig]*gtree, channels)
+	for c := range groups {
+		groups[c] = make(map[groupSig]*gtree)
+	}
+	for i := range trees {
+		st := &trees[i]
+		sig := groupSig{root: t.class(roots[i]), n: int32(len(st.Guards))}
+		for j, g := range st.Guards {
+			sig.guards[j] = t.class(t.adopt(g.Cond)) << 1
+			if g.Taken {
+				sig.guards[j] |= 1
+			}
 		}
-		key := groupKey(canon.Key(), guards)
-		g := groups[st.C][key]
+		slices.Sort(sig.guards[:sig.n])
+		g := groups[st.C][sig]
 		if g == nil {
-			g = &gtree{expr: canon, guards: guards}
-			groups[st.C][key] = g
+			guards := make(map[string]guardVal, len(st.Guards))
+			for _, gd := range st.Guards {
+				guards[gd.Key] = guardVal{cond: t.adopt(gd.Cond), taken: gd.Taken}
+			}
+			g = &gtree{expr: roots[i], guards: guards}
+			groups[st.C][sig] = g
 		}
 		g.count++
 	}
 
 	reps := make([]*ir.Expr, channels)
 	for c, gm := range groups {
+		byKey := make(map[string]*gtree, len(gm))
 		keys := make([]string, 0, len(gm))
-		for k := range gm {
+		for _, g := range gm {
+			k := groupKey(t.key(g.expr), g.guards)
+			byKey[k] = g
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
 		gs := make([]*gtree, len(keys))
 		for i, k := range keys {
-			gs[i] = gm[k]
+			gs[i] = byKey[k]
 		}
-		merged, err := mergeGroups(gs)
+		merged, err := mergeGroups(t, gs)
 		if err != nil {
 			return nil, fmt.Errorf("lift: channel %d: %w", c, err)
 		}
 		tc := time.Now()
-		reps[c] = Canonicalize(merged)
+		reps[c] = t.canon(merged)
 		*canonDur += time.Since(tc)
 	}
 
 	// Center the stencil: shift all load offsets so the output pixel sits
 	// at the middle of the taps' bounding box, and record the shift as the
-	// kernel's input origin.
+	// kernel's input origin.  The shifted trees are detached copies, one
+	// per channel: interned nodes are shared and never mutated.
 	minX, maxX, minY, maxY := 0, 0, 0, 0
 	first := true
 	for _, r := range reps {
@@ -327,11 +360,8 @@ func unify(name string, bufs *Buffers, trees []SampleTree, canonDur *time.Durati
 	}
 	ox := (minX + maxX) / 2
 	oy := (minY + maxY) / 2
-	for _, r := range reps {
-		visitLoads(r, func(l *ir.Expr) {
-			l.DX -= ox
-			l.DY -= oy
-		})
+	for c, r := range reps {
+		reps[c] = t.shift(r, ox, oy).Clone()
 	}
 
 	return &ir.Kernel{
@@ -346,17 +376,18 @@ func unify(name string, bufs *Buffers, trees []SampleTree, canonDur *time.Durati
 }
 
 // mergeGroups collapses a family of guarded tree groups into one
-// expression.  A single unguarded group is the classic fully-collapsed
-// case.  Otherwise the most widely observed condition splits the family:
-// groups that took the branch go to the select's true arm, groups that
-// fell through go to the false arm, and groups that never consulted the
-// condition (their path decided it away, for example by clamping to a
-// constant first) are valid under either outcome and join both sides.
-// When every deciding group agrees on one outcome the condition never
-// diverged on this input; it is dropped, and the bit-exact differential
-// verification downstream gates the elision.
-func mergeGroups(groups []*gtree) (*ir.Expr, error) {
-	groups = dedupeGroups(groups)
+// expression, built through the stage's table.  A single unguarded group
+// is the classic fully-collapsed case.  Otherwise the most widely
+// observed condition splits the family: groups that took the branch go to
+// the select's true arm, groups that fell through go to the false arm,
+// and groups that never consulted the condition (their path decided it
+// away, for example by clamping to a constant first) are valid under
+// either outcome and join both sides.  When every deciding group agrees on
+// one outcome the condition never diverged on this input; it is dropped,
+// and the bit-exact differential verification downstream gates the
+// elision.
+func mergeGroups(t *exprTable, groups []*gtree) (*ir.Expr, error) {
+	groups = dedupeGroups(t, groups)
 	bare := true
 	for _, g := range groups {
 		if len(g.guards) > 0 {
@@ -416,17 +447,17 @@ func mergeGroups(groups []*gtree) (*ir.Expr, error) {
 		for _, g := range groups {
 			all = append(all, stripGuard(g, best))
 		}
-		return mergeGroups(all)
+		return mergeGroups(t, all)
 	}
-	t, err := mergeGroups(tg)
+	tv, err := mergeGroups(t, tg)
 	if err != nil {
 		return nil, err
 	}
-	f, err := mergeGroups(fg)
+	fv, err := mergeGroups(t, fg)
 	if err != nil {
 		return nil, err
 	}
-	return &ir.Expr{Op: ir.OpSelect, Args: []*ir.Expr{cond, t, f}}, nil
+	return t.node(ir.Expr{Op: ir.OpSelect}, cond, tv, fv), nil
 }
 
 // stripGuard copies a group without the given condition key.
@@ -442,11 +473,11 @@ func stripGuard(g *gtree, key string) *gtree {
 
 // dedupeGroups merges groups that became identical after guard stripping
 // (duplicated ambiguous groups meeting again on one side of a split).
-func dedupeGroups(groups []*gtree) []*gtree {
+func dedupeGroups(t *exprTable, groups []*gtree) []*gtree {
 	byKey := make(map[string]*gtree)
 	var keys []string
 	for _, g := range groups {
-		k := groupKey(g.expr.Key(), g.guards)
+		k := groupKey(t.key(g.expr), g.guards)
 		if prev, ok := byKey[k]; ok {
 			prev.count += g.count
 			continue
@@ -462,8 +493,8 @@ func dedupeGroups(groups []*gtree) []*gtree {
 }
 
 // visitLoads calls fn once per distinct load node.  The visited-set makes
-// shared-subexpression DAGs (which the extractor's memo produces) linear
-// to walk and keeps fn from mutating a shared load twice.
+// shared-subexpression DAGs (which the extractor's memo and the
+// expression tables produce) linear to walk.
 func visitLoads(e *ir.Expr, fn func(*ir.Expr)) {
 	seen := make(map[*ir.Expr]bool)
 	var walk func(*ir.Expr)

@@ -292,7 +292,9 @@ func traceFor(t testing.TB, k legacy.Kernel, cfg legacy.Config) (lift.Target, *l
 
 // TestExtractWorkersDeterministic checks that the parallel extraction is
 // oblivious to the worker count: every sample tree lands at the same
-// position with the same canonical structure.
+// position with the same structure and the same branch guards (condition
+// keys and observed outcomes, in window order), although each worker
+// interns its trees in its own expression table.
 func TestExtractWorkersDeterministic(t *testing.T) {
 	for _, k := range legacy.Kernels() {
 		t.Run(k.Name, func(t *testing.T) {
@@ -308,6 +310,7 @@ func TestExtractWorkersDeterministic(t *testing.T) {
 				t.Skip("reduction-consuming kernels need the table descriptor Lift builds")
 			}
 			tgt, _, tres, bufs := traceFor(t, k, liftConfigs[0])
+			guarded := 0
 			serial, err := lift.ExtractWorkers(tres.Trace, tgt.Prog, bufs, 1)
 			if err != nil {
 				t.Fatalf("ExtractWorkers(1): %v", err)
@@ -321,6 +324,7 @@ func TestExtractWorkersDeterministic(t *testing.T) {
 					t.Fatalf("ExtractWorkers(%d) returned %d trees, serial %d", workers, len(par), len(serial))
 				}
 				for i := range par {
+					guarded += len(par[i].Guards)
 					if par[i].X != serial[i].X || par[i].Y != serial[i].Y || par[i].C != serial[i].C {
 						t.Fatalf("tree %d at (%d,%d,%d), serial (%d,%d,%d)", i,
 							par[i].X, par[i].Y, par[i].C, serial[i].X, serial[i].Y, serial[i].C)
@@ -328,10 +332,35 @@ func TestExtractWorkersDeterministic(t *testing.T) {
 					if par[i].Expr.Key() != serial[i].Expr.Key() {
 						t.Fatalf("tree %d differs between %d workers and serial", i, workers)
 					}
+					if err := sameGuards(par[i].Guards, serial[i].Guards); err != nil {
+						t.Fatalf("tree %d guards differ between %d workers and serial: %v", i, workers, err)
+					}
 				}
+			}
+			if k.Name == "clampsharp" && guarded == 0 {
+				t.Error("the branch-clamped kernel extracted no guards; the guard comparison checked nothing")
 			}
 		})
 	}
+}
+
+// sameGuards compares two samples' guard lists: same conditions (by
+// stored key and by the condition tree's own key), same outcomes, same
+// order.
+func sameGuards(got, want []lift.Guard) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d guards, want %d", len(got), len(want))
+	}
+	for j := range got {
+		g, w := got[j], want[j]
+		if g.Key != w.Key || g.Cond.Key() != w.Cond.Key() || g.Key != g.Cond.Key() {
+			return fmt.Errorf("guard %d is %s (key %s), want %s", j, g.Cond, g.Key, w.Cond)
+		}
+		if g.Taken != w.Taken {
+			return fmt.Errorf("guard %d on %s taken=%v, want %v", j, g.Cond, g.Taken, w.Taken)
+		}
+	}
+	return nil
 }
 
 // BenchmarkVMBoxBlur measures emulating the legacy box blur end to end.
@@ -447,6 +476,23 @@ func BenchmarkLiftPipeline(b *testing.B) {
 	k, _ := legacy.Lookup("brighten")
 	inst := k.Instantiate(legacy.Config{Width: 32, Height: 16, Seed: 3})
 	tgt := target(inst)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := lift.Lift(k.Name, tgt); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLiftSharpen measures the whole pipeline on the corpus kernel
+// with the most per-sample slicing and canonicalization work (3
+// interleaved channels, a 37-node float tree per sample) at the
+// benchmark-of-record geometry.
+func BenchmarkLiftSharpen(b *testing.B) {
+	k, _ := legacy.Lookup("sharpen")
+	inst := k.Instantiate(legacy.Config{Width: 64, Height: 48, Seed: 1})
+	tgt := target(inst)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := lift.Lift(k.Name, tgt); err != nil {

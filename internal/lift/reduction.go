@@ -81,7 +81,10 @@ func recognizeReduction(name string, tr *trace.InstTrace, prog *isa.Program, in 
 	// Per-slot initial values, from the identity stores that precede the
 	// accumulation (uninitialized slots keep whatever the dump read: the
 	// legacy binary never defined them, so neither do we — reject).
-	ex := &extractor{tr: tr, prog: prog, bufs: &Buffers{In: in}, abs: true}
+	ex := newExtractor(tr, prog, &Buffers{In: in}, true)
+	if testHookTable != nil {
+		defer testHookTable("reduction", ex.t)
+	}
 	init := make([]uint64, bins)
 	seenInit := make([]bool, bins)
 	for _, ev := range initSeqs {
@@ -166,7 +169,7 @@ func recognizeReduction(name string, tr *trace.InstTrace, prog *isa.Program, in 
 		}
 		if indexExpr == nil {
 			indexExpr = idx
-		} else if indexExpr.Key() != idx.Key() {
+		} else if !ex.t.sameKey(indexExpr, idx) {
 			return fmt.Errorf("lift: update at seq %d computes index %s, others %s; index expressions did not collapse",
 				ev.seq, idx, indexExpr)
 		}
@@ -209,7 +212,7 @@ func recognizeReduction(name string, tr *trace.InstTrace, prog *isa.Program, in 
 		DomW: known.Width, DomH: known.Height,
 		Bins: bins, Elem: elem,
 		Init:   init,
-		Index:  indexExpr,
+		Index:  indexExpr.Clone(), // detached from the recognizer's table
 		Delta:  delta & (1<<(8*elem) - 1),
 		Suffix: suffix,
 	}
@@ -248,13 +251,12 @@ func suffixRuns(upd []redEvent, bins int) ([]redEvent, error) {
 // sliceConst slices a reference and demands it canonicalize to an integer
 // constant.
 func (ex *extractor) sliceConst(seq int, ref trace.Ref) (int64, error) {
-	ex.memo = make(map[memoKey]*ir.Expr)
-	ex.nodes, ex.limit = 0, maxTreeNodes
+	ex.reset()
 	e, err := ex.refExpr(seq, ref)
 	if err != nil {
 		return 0, err
 	}
-	c := Canonicalize(e)
+	c := ex.t.canon(e)
 	if c.Op != ir.OpConst {
 		return 0, fmt.Errorf("value %s does not reduce to a constant", c)
 	}
@@ -289,8 +291,7 @@ func (ex *extractor) indexExpr(di *trace.DynInst, slotAddr, base uint64, elem in
 		return nil, 0, 0, fmt.Errorf("update %v at %#x scales its index by %d but slots are %d bytes wide", di.Op, di.Addr, memOp.Scale, elem)
 	}
 
-	ex.memo = make(map[memoKey]*ir.Expr)
-	ex.nodes, ex.limit = 0, maxTreeNodes
+	ex.reset()
 	e, err := ex.addrRegExpr(di.Seq, di, memOp.Index)
 	if err != nil {
 		return nil, 0, 0, err
@@ -316,11 +317,12 @@ func (ex *extractor) indexExpr(di *trace.DynInst, slotAddr, base uint64, elem in
 		return nil, 0, 0, fmt.Errorf("update at %#x: address residual %d is not slot-aligned", di.Addr, residual)
 	}
 	if k := residual / int64(elem); k != 0 {
-		e = ir.Bin(ir.OpAdd, 4, e, ir.Const(k))
+		e = ex.t.bin(ir.OpAdd, 4, e, ex.t.constant(k))
 	}
 
 	// The slice carries absolute input loads; exactly one pixel must
-	// appear, and it becomes the reduction's relative (0,0) tap.
+	// appear, and it becomes the reduction's relative (0,0) tap (a shifted
+	// copy: the slice's nodes are interned and shared).
 	px, py = -1, -1
 	bad := false
 	visitLoads(e, func(l *ir.Expr) {
@@ -336,6 +338,5 @@ func (ex *extractor) indexExpr(di *trace.DynInst, slotAddr, base uint64, elem in
 	if px < 0 {
 		return nil, 0, 0, fmt.Errorf("update at %#x has an index independent of the input; not a data reduction", di.Addr)
 	}
-	visitLoads(e, func(l *ir.Expr) { l.DX, l.DY = 0, 0 })
-	return Canonicalize(e), px, py, nil
+	return ex.t.canon(ex.t.shift(e, px, py)), px, py, nil
 }
