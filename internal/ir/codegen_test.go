@@ -556,20 +556,21 @@ func TestGeneratedBatchTailWidths(t *testing.T) {
 	}
 }
 
-// TestGeneratedStridedEdgeWidths is the affine-map differential at the
-// batch/tail edge geometries: resize-style kernels with strided index
-// maps in(s*x+1, y) for s ∈ {2, 3} — plus upsample-style floor-divided
-// maps in(x/2, y) — at outW ∈ {1, 7, 8, 9, 15, 17}, compiled with the
-// real toolchain and held bit-exact against the interpreter: values,
-// fault positions and fault messages.  A strided batch loop that steps
-// its source pointer wrong, maps a tail sample through the lane constant,
-// or reports a fault at the mapped input coordinate instead of the output
-// x shows up here directly.
-func TestGeneratedStridedEdgeWidths(t *testing.T) {
-	needToolchain(t)
-
+// indexMapEdgeKernels is the affine-map kernel table at the batch/tail
+// edge geometries outW ∈ {1, 7, 8, 9, 15, 17}: resize-style kernels with
+// strided index maps in(s*x+1, y) for s ∈ {2, 3}, upsample-style
+// floor-divided maps in(x/2, y), the fractional maps in((2*x+1)/3, y)
+// and in((x+2)/3, y), whose residue classes read at stride 2 and 1, and
+// the column broadcast in(5, y), a stride-0 row.  Each map gets a value kernel (a two-tap average at the
+// mapped center) and a dense-fault kernel (8-entry table: the first
+// sample faults, pinning the first lane and the first residue class); the
+// strided and the /3 maps also get a sparse-fault kernel (200-entry table,
+// ~22% of bytes out of range), whose first fault lands at a width- and
+// map-dependent scan position, often inside a tail, a later lane block or
+// a later residue class.  It returns the source plane, the kernels and
+// how many of them must fault (one per dense-fault kernel).
+func indexMapEdgeKernels() (*image.Plane, []*Kernel, int) {
 	widths := []int{1, 7, 8, 9, 15, 17}
-	strides := []int{2, 3}
 	const outH = 4
 	// Wide enough for the farthest mapped tap: 3*16+1 plus the +1 tap.
 	plane := image.NewPlane(52, outH+2, 2)
@@ -579,10 +580,8 @@ func TestGeneratedStridedEdgeWidths(t *testing.T) {
 			plane.Set(x, y, byte(r.next()))
 		}
 	}
-	src := PlaneSource{P: plane}
 
 	zx := func(e *Expr) *Expr { return &Expr{Op: OpZExt, Width: 4, SrcWidth: 1, Args: []*Expr{e}} }
-	// The resize shape: a two-tap average at the mapped center.
 	avgTree := func() *Expr {
 		return Bin(OpDiv, 4, &Expr{Op: OpAdd, Width: 4,
 			Args: []*Expr{zx(Load(0, 0, 0)), zx(Load(1, 0, 0)), Const(1)}}, Const(2))
@@ -594,32 +593,48 @@ func TestGeneratedStridedEdgeWidths(t *testing.T) {
 		}
 		return &Expr{Op: OpTable, Table: tab, Elem: 1, Args: []*Expr{Load(0, 0, 0)}}
 	}
+	maps := []struct {
+		prefix string
+		m      AxisMap
+		sparse bool
+	}{
+		{"s2", AxisMap{Num: 2, Den: 1, Off: 1}, true},
+		{"s3", AxisMap{Num: 3, Den: 1, Off: 1}, true},
+		{"u", AxisMap{Num: 1, Den: 2}, false},
+		{"f23", AxisMap{Num: 2, Den: 3, Off: 1}, true},
+		{"f13", AxisMap{Num: 1, Den: 3, Off: 2}, true},
+		{"b", AxisMap{Num: 0, Den: 1, Off: 5}, false},
+	}
 
 	var kernels []*Kernel
-	for _, s := range strides {
+	for _, mp := range maps {
 		for _, w := range widths {
-			mk := func(name string, tree *Expr) {
-				kernels = append(kernels, &Kernel{Name: name, OutWidth: w, OutHeight: outH,
-					Channels: 1, MapX: AxisMap{Num: s, Den: 1, Off: 1}, Trees: []*Expr{tree}})
+			mk := func(kind string, tree *Expr) {
+				kernels = append(kernels, &Kernel{Name: fmt.Sprintf("%s%sw%d", mp.prefix, kind, w),
+					OutWidth: w, OutHeight: outH, Channels: 1, MapX: mp.m, Trees: []*Expr{tree}})
 			}
-			mk(fmt.Sprintf("sv%dw%d", s, w), avgTree())
-			// Dense faults (8-entry table): the first sample faults, pinning
-			// the strided batch loop's first lane.
-			mk(fmt.Sprintf("sd%dw%d", s, w), faultTree(8))
-			// Sparse faults (200-entry table): the first out-of-range byte
-			// lands at a width- and stride-dependent scan position, often
-			// inside a tail or a later lane block.
-			mk(fmt.Sprintf("ss%dw%d", s, w), faultTree(200))
+			mk("v", avgTree())
+			mk("d", faultTree(8))
+			if mp.sparse {
+				mk("s", faultTree(200))
+			}
 		}
 	}
-	// Upsample-style floor division: every width again under in(x/2, y).
-	for _, w := range widths {
-		kernels = append(kernels,
-			&Kernel{Name: fmt.Sprintf("uv%d", w), OutWidth: w, OutHeight: outH,
-				Channels: 1, MapX: AxisMap{Num: 1, Den: 2}, Trees: []*Expr{avgTree()}},
-			&Kernel{Name: fmt.Sprintf("ud%d", w), OutWidth: w, OutHeight: outH,
-				Channels: 1, MapX: AxisMap{Num: 1, Den: 2}, Trees: []*Expr{faultTree(8)}})
-	}
+	return plane, kernels, len(maps) * len(widths)
+}
+
+// TestGeneratedStridedEdgeWidths is the affine-map differential at the
+// batch/tail edge geometries: the indexMapEdgeKernels table compiled with
+// the real toolchain and held bit-exact against the interpreter: values,
+// fault positions and fault messages.  A strided batch loop that steps
+// its source pointer wrong, maps a tail sample through the lane constant,
+// or reports a fault at the mapped input coordinate instead of the output
+// x shows up here directly.
+func TestGeneratedStridedEdgeWidths(t *testing.T) {
+	needToolchain(t)
+
+	plane, kernels, minFaults := indexMapEdgeKernels()
+	src := PlaneSource{P: plane}
 
 	srcCode, err := Generate("liftedkernels", kernels)
 	if err != nil {
@@ -648,9 +663,8 @@ func TestGeneratedStridedEdgeWidths(t *testing.T) {
 			t.Errorf("%s: generated %s %q, want OK %s", k.Name, got[0], got[1], hex.EncodeToString(want))
 		}
 	}
-	// Every (stride, width) pair contributes a dense-fault kernel, and so
-	// does every floor-divided width.
-	if faults < len(strides)*len(widths)+len(widths) {
+	// Every (map, width) pair contributes a dense-fault kernel.
+	if faults < minFaults {
 		t.Fatalf("only %d faulting kernels; the strided edge-width fault coverage collapsed", faults)
 	}
 }

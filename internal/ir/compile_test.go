@@ -506,36 +506,6 @@ func TestProgramRootFloat(t *testing.T) {
 	}
 }
 
-// sink prevents benchmark dead-code elimination.
-var sink uint64
-
-func BenchmarkProgramRunBoxBlurTree(b *testing.B) {
-	// The canonical boxblur tree: (sum of 9 taps + 4) / 9.
-	taps := make([]*Expr, 0, 10)
-	for dy := -1; dy <= 1; dy++ {
-		for dx := -1; dx <= 1; dx++ {
-			taps = append(taps, &Expr{Op: OpZExt, Width: 4, SrcWidth: 1, Args: []*Expr{Load(dx, dy, 0)}})
-		}
-	}
-	taps = append(taps, Const(4))
-	tree := Bin(OpDiv, 4, &Expr{Op: OpAdd, Width: 4, Args: taps}, Const(9))
-	p, err := CompileExpr(tree)
-	if err != nil {
-		b.Fatal(err)
-	}
-	plane := diffPlane()
-	bd := bindSource(PlaneSource{P: plane})
-	st := p.newState(&bd, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v, err := p.run(&bd, st, 3, 3, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sink = v
-	}
-}
-
 func init() {
 	// Guard against accidental non-determinism in the generator: two
 	// identically seeded generators must produce identical trees.

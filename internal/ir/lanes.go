@@ -1,46 +1,39 @@
-// Width-specialized row execution.  When the width-inference pass proves
-// every register of a program fits 8, 16 or 32 bits, the row executor runs
-// in that lane type instead of uint64: the row register file shrinks by
-// 8x/4x/2x, which keeps whole tiles of register rows inside L1 and moves
-// 2-8x more samples per cache line through the hot loops.  Execution is
-// bit-exact with the 64-bit reference path — see width.go for the
-// soundness argument — including error positions and messages.
+// Row execution of register programs.  One generic executor,
+// laneState[T].runRow, interprets every compiled program: each instruction
+// processes one output row of samples before the next dispatches, so the
+// interpretive dispatch cost is paid once per instruction per row rather
+// than once per node per sample.  The lane type T is the narrowest width
+// the width-inference pass proved: 8, 16 or 32 bits when every register
+// fits, 64 bits otherwise (always for programs with floating point, whose
+// registers hold IEEE-754 bit patterns).  Narrow lanes shrink the row
+// register file by 8x/4x/2x, which keeps whole tiles of register rows inside
+// L1 and moves 2-8x more samples per cache line through the hot loops.
+// Every instantiation is bit-exact with 64-bit execution — see width.go for
+// the soundness argument — including error positions and messages.
+//
+// A row reads its input at a constant x stride.  Integral index maps give
+// the stride directly; a fractional map x' = floor((num*x+off)/den) splits
+// each output row into den residue classes, because the samples
+// x = r + den*j of class r read input column Apply(r) + num*j: one row at
+// stride num per class (see Executor.evalTile).
 package ir
 
-// lane is the set of narrow register types the row executor specializes
-// over.
+import "math"
+
+// lane is the set of register types the row executor specializes over.
 type lane interface {
-	~uint8 | ~uint16 | ~uint32
+	~uint8 | ~uint16 | ~uint32 | ~uint64
 }
 
-// rowExec is one channel program's row-execution engine bound to a source:
-// either the 64-bit reference executor or a lane-specialized one.
+// rowExec is one channel program's row-execution engine bound to a source,
+// instantiated at the program's lane width.
 type rowExec interface {
 	// runRow evaluates output samples x in [0, width) of channel c at
-	// input row y, xbase being the input-x of output sample 0.  Error
-	// semantics match Program.runRow.
+	// input row y, xbase being the input-x of output sample 0.
 	runRow(xbase, y, c, width int) (int, error)
 	// storeRow narrows the result row to bytes: dst[x*step] = uint8(res[x])
 	// for x in [0, n).
 	storeRow(dst []byte, step, n int)
-}
-
-// rowExec64 adapts the uint64 reference path to the rowExec interface.
-type rowExec64 struct {
-	p  *Program
-	bd *binding
-	st *progState
-}
-
-func (r *rowExec64) runRow(xbase, y, c, width int) (int, error) {
-	return r.p.runRow(r.bd, r.st, xbase, y, c, width)
-}
-
-func (r *rowExec64) storeRow(dst []byte, step, n int) {
-	res := r.st.rows[r.p.root]
-	for x := 0; x < n; x++ {
-		dst[x*step] = uint8(res[x])
-	}
 }
 
 // newRowExec picks the row executor for a program: the narrowest lane the
@@ -54,11 +47,12 @@ func newRowExec(p *Program, bd *binding, rowWidth int) rowExec {
 	case 32:
 		return newLaneState[uint32](p, bd, rowWidth)
 	}
-	return &rowExec64{p: p, bd: bd, st: p.newState(bd, rowWidth)}
+	return newLaneState[uint64](p, bd, rowWidth)
 }
 
-// laneState is the lane-typed counterpart of progState: precomputed tap
-// offsets plus a row register file in the narrow type.
+// laneState is a program's execution state for one bound source:
+// precomputed tap offsets for the bound geometry plus a row register file
+// in the lane type (constants splatted).
 type laneState[T lane] struct {
 	p       *Program
 	bd      *binding
@@ -122,9 +116,19 @@ func (st *laneState[T]) gatherArgs(in *pinst, n int) {
 	st.argRows = as
 }
 
-// runRow mirrors Program.runRow over the narrow register file.  Only the
-// integer operations the width pass admits appear here; the analysis never
-// selects a lane width for programs containing anything else.
+// runRow executes the program vectorized over one output row: every
+// instruction processes samples x in [0, width) of channel c at input row
+// y before the next instruction dispatches.  xbase is the input-x of
+// output sample 0; consecutive samples advance bd.xstep input pixels.
+//
+// Error semantics reproduce per-sample evaluation exactly: when an
+// instruction faults at some x the row narrows to [0, x) for the remaining
+// instructions, so the reported fault is the one an x-ascending per-sample
+// loop would have hit first.  Returns the failing x (-1 if none).
+//
+// The float cases convert through uint64; the width pass keeps every
+// program containing one at 64-bit lanes, so narrow instantiations never
+// reach them.
 func (st *laneState[T]) runRow(xbase, y, c, width int) (int, error) {
 	p, bd := st.p, st.bd
 	n := width
@@ -138,10 +142,9 @@ func (st *laneState[T]) runRow(xbase, y, c, width int) (int, error) {
 	if bd.pix != nil {
 		pos0 = bd.base + y*bd.stride + xbase*bd.pixStep + c*bd.chanStep
 	}
+	// Consecutive output samples read xstep pixels apart; tap offsets stay
+	// unscaled (they are deltas around each mapped position).
 	xs := bd.xstep
-	if xs == 0 {
-		xs = 1
-	}
 	ps := bd.pixStep * xs
 	rows := st.rows
 	for i := range p.insts {
@@ -505,8 +508,46 @@ func (st *laneState[T]) runRow(xbase, y, c, width int) (int, error) {
 				}
 				d[x] = T(v)
 			}
+		case OpIntToFP:
+			a := rows[in.a][:n]
+			sh := in.sh
+			for x := range d {
+				d[x] = T(math.Float64bits(float64(sx(uint64(a[x]), sh))))
+			}
+		case OpFPToInt:
+			a := rows[in.a][:n]
+			mask := in.mask
+			for x := range d {
+				d[x] = T(uint64(int64(math.RoundToEven(math.Float64frombits(uint64(a[x]))))) & mask)
+			}
+		case OpFAdd:
+			a, b := rows[in.a][:n], rows[in.b][:n]
+			for x := range d {
+				d[x] = T(math.Float64bits(math.Float64frombits(uint64(a[x])) + math.Float64frombits(uint64(b[x]))))
+			}
+		case OpFSub:
+			a, b := rows[in.a][:n], rows[in.b][:n]
+			for x := range d {
+				d[x] = T(math.Float64bits(math.Float64frombits(uint64(a[x])) - math.Float64frombits(uint64(b[x]))))
+			}
+		case OpFMul:
+			a, b := rows[in.a][:n], rows[in.b][:n]
+			for x := range d {
+				d[x] = T(math.Float64bits(math.Float64frombits(uint64(a[x])) * math.Float64frombits(uint64(b[x]))))
+			}
+		case OpFDiv:
+			a, b := rows[in.a][:n], rows[in.b][:n]
+			for x := range d {
+				d[x] = T(math.Float64bits(math.Float64frombits(uint64(a[x])) / math.Float64frombits(uint64(b[x]))))
+			}
+		case OpCall:
+			a := rows[in.a][:n]
+			fn := in.fn
+			for x := range d {
+				d[x] = T(math.Float64bits(fn(math.Float64frombits(uint64(a[x])))))
+			}
 		default:
-			return 0, errNotLaneExecutable(in.op)
+			return 0, errUnexecutable(in.op)
 		}
 	}
 	return errX, firstErr

@@ -2,7 +2,10 @@ package ir
 
 import (
 	"bytes"
+	"strings"
 	"testing"
+
+	"helium/internal/image"
 )
 
 // narrowTreeGen builds random trees whose values provably stay small, so
@@ -322,5 +325,126 @@ func TestFoldedConstantsDoNotWidenLanes(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("narrowed execution differs from interpreter\ntree: %s", tree)
 		}
+	}
+}
+
+// checkCompiledMatchesInterp holds the compiled kernel to the interpreter
+// on src through the serial executor and the tiled driver at 3 workers:
+// identical bytes, or the identical error (failing coordinate and message
+// alike).  It reports whether the interpreter faulted.
+func checkCompiledMatchesInterp(t *testing.T, k *Kernel, src Source) bool {
+	t.Helper()
+	want, werr := k.Eval(src)
+	ck, err := k.Compile()
+	if err != nil {
+		t.Fatalf("%s: Compile: %v", k.Name, err)
+	}
+	for _, path := range []struct {
+		name string
+		eval func() ([]byte, error)
+	}{
+		{"Eval", func() ([]byte, error) { return ck.Eval(src) }},
+		{"EvalParallel", func() ([]byte, error) { return ck.EvalParallel(src, 3) }},
+	} {
+		got, gerr := path.eval()
+		switch {
+		case werr != nil:
+			if gerr == nil || gerr.Error() != werr.Error() {
+				t.Errorf("%s: compiled %s error %v, want %q", k.Name, path.name, gerr, werr)
+			}
+		case gerr != nil:
+			t.Errorf("%s: compiled %s: %v", k.Name, path.name, gerr)
+		case !bytes.Equal(got, want):
+			t.Errorf("%s: compiled %s output differs from the interpreter", k.Name, path.name)
+		}
+	}
+	return werr != nil
+}
+
+// TestCompiledIndexMapDifferential is the compiled executor's affine-map
+// differential: strided, fractional and column-broadcast x-maps (each
+// residue class of a fractional map executes as one constant-stride row,
+// a broadcast as a stride-0 row) must match the
+// interpreter in values, fault positions and fault messages, serially and
+// through the tiled driver.
+func TestCompiledIndexMapDifferential(t *testing.T) {
+	plane, kernels, minFaults := indexMapEdgeKernels()
+	faults := 0
+	for _, k := range kernels {
+		for _, src := range []Source{PlaneSource{P: plane}, opaqueSource{s: PlaneSource{P: plane}}} {
+			if checkCompiledMatchesInterp(t, k, src) {
+				faults++
+			}
+		}
+	}
+	if faults < 2*minFaults {
+		t.Fatalf("only %d faulting runs; the index-map fault coverage collapsed", faults)
+	}
+
+	// Interleaved, 3 channels under in(x/2, y), each channel indexing its
+	// own 200-entry table.  Row 1 faults in channels 1 and 2 at x = 10
+	// and in channel 0 at x = 12: the scan's first failure is (10, 1, 1),
+	// which pins the x-then-c tie-break across channels.
+	im := image.NewInterleaved(7, 3, 3)
+	r := testRNG(5)
+	for y := 0; y < 3; y++ {
+		for x := 0; x < 7; x++ {
+			for c := 0; c < 3; c++ {
+				im.Set(x, y, c, byte(r.intn(200)))
+			}
+		}
+	}
+	im.Set(5, 1, 1, 255)
+	im.Set(5, 1, 2, 250)
+	im.Set(6, 1, 0, 255)
+	il := &Kernel{Name: "il3", OutWidth: 13, OutHeight: 3, Channels: 3,
+		MapX: AxisMap{Num: 1, Den: 2}}
+	for c := 0; c < 3; c++ {
+		tab := make([]byte, 200)
+		for i := range tab {
+			tab[i] = byte(i*7 + c)
+		}
+		il.Trees = append(il.Trees, &Expr{Op: OpTable, Table: tab, Elem: 1, Args: []*Expr{Load(0, 0, 0)}})
+	}
+	isrc := InterleavedSource{Im: im}
+	if _, err := il.Eval(isrc); err == nil || !strings.Contains(err.Error(), "at (10,1,1)") {
+		t.Fatalf("interleaved fault kernel: interpreter error %v, want one at (10,1,1)", err)
+	}
+	checkCompiledMatchesInterp(t, il, isrc)
+	il.Trees = il.Trees[:0]
+	for c := 0; c < 3; c++ {
+		il.Trees = append(il.Trees, Bin(OpAdd, 1, Load(0, 0, 0), Const(int64(c))))
+	}
+	if checkCompiledMatchesInterp(t, il, isrc) {
+		t.Fatal("interleaved value kernel faulted")
+	}
+
+	// A 64-bit float tree under in(x/2, y) on the wide geometry: the tiled
+	// driver's tile width is odd, so every other column tile starts in the
+	// middle of a residue class.  The table variant faults data-dependently.
+	zx := func(e *Expr) *Expr { return &Expr{Op: OpZExt, Width: 4, SrcWidth: 1, Args: []*Expr{e}} }
+	fl := func(e *Expr) *Expr { return &Expr{Op: OpIntToFP, SrcWidth: 4, Args: []*Expr{zx(e)}} }
+	blend := &Expr{Op: OpFPToInt, Width: 4, Args: []*Expr{
+		{Op: OpFAdd, Args: []*Expr{
+			{Op: OpFMul, Args: []*Expr{fl(Load(0, 0, 0)), ConstF(0.75)}},
+			{Op: OpFMul, Args: []*Expr{fl(Load(1, 1, 0)), ConstF(0.25)}}}}}}
+	tab := make([]byte, 250)
+	for i := range tab {
+		tab[i] = byte(i ^ 0x5a)
+	}
+	for _, tree := range []*Expr{blend, {Op: OpTable, Table: tab, Elem: 1, Args: []*Expr{blend}}} {
+		k := wideKernel(tree)
+		k.MapX = AxisMap{Num: 1, Den: 2}
+		ck, err := k.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lanes := ck.Progs[0].LaneBits(); lanes != 64 {
+			t.Fatalf("float tree runs at %d-bit lanes, want 64", lanes)
+		}
+		if tw, _ := ck.tileSize(); tw >= k.OutWidth || tw%2 == 0 {
+			t.Fatalf("tile width %d does not split the %d columns at an odd offset", tw, k.OutWidth)
+		}
+		checkCompiledMatchesInterp(t, k, coordSource{})
 	}
 }

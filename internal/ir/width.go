@@ -4,12 +4,12 @@
 // unsigned upper bound for the value stored in every register.  From those
 // bounds the compiler picks the narrowest lane width — 8, 16 or 32 bits —
 // in which the whole program can execute exactly, which both the
-// width-specialized row executor (lanes.go) and the Go source backend
+// generic row executor (lanes.go) and the Go source backend
 // (codegen.go) exploit: narrower lanes quarter or halve the row-buffer
 // traffic and let generated code compute in uint8/uint16/uint32.
 //
 // Soundness: every register bound `hi[r]` satisfies "the value stored in r
-// by the 64-bit reference executor is always <= hi[r]".  If every bound
+// by the row executor at 64-bit lanes is always <= hi[r]".  If every bound
 // (including the pooled constants) fits below 2^B, then B-bit arithmetic
 // reproduces the 64-bit execution bit for bit:
 //

@@ -3,6 +3,7 @@ package lift_test
 import (
 	"bytes"
 	"fmt"
+	"sync"
 	"testing"
 
 	"helium/internal/ir"
@@ -455,6 +456,60 @@ func BenchmarkCompiledParallelBoxBlur(b *testing.B) {
 		if _, err := ck.EvalParallel(src, 0); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkCompiledCorpus measures the compiled backend on every corpus
+// kernel with a register-program form (the reduction-only hist256 is
+// skipped): the chain lifted at 128x96 and run serially through
+// CompiledResult.EvalAt on its materialized input, reported per output
+// sample.  Each kernel is lifted once and its output checked against the
+// binary's before timing.
+func BenchmarkCompiledCorpus(b *testing.B) {
+	type compiledCase struct {
+		c          *lift.CompiledResult
+		src        ir.Source
+		w, h, size int
+	}
+	for _, k := range legacy.Kernels() {
+		prep := sync.OnceValues(func() (*compiledCase, error) {
+			res, err := lift.Lift(k.Name, target(k.Instantiate(legacy.Config{Width: 128, Height: 96, Seed: 1})))
+			if err != nil || res.Kernel == nil {
+				return nil, err
+			}
+			c, err := res.Compile()
+			if err != nil {
+				return nil, err
+			}
+			cc := &compiledCase{c: c, src: res.MaterializeInput()}
+			cc.w, cc.h = res.EvalDims()
+			want, err := res.VMOutput()
+			if err != nil {
+				return nil, err
+			}
+			if got, err := c.EvalAt(cc.src, cc.w, cc.h); err != nil || !bytes.Equal(got, want) {
+				return nil, fmt.Errorf("compiled output differs from the binary's (err %v)", err)
+			}
+			cc.size = len(want)
+			return cc, nil
+		})
+		b.Run(k.Name, func(b *testing.B) {
+			cc, err := prep()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if cc == nil {
+				b.Skip("reduction-only kernel: no register-program form")
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := cc.c.EvalAt(cc.src, cc.w, cc.h); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cc.size), "ns/sample")
+		})
 	}
 }
 
