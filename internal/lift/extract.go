@@ -192,11 +192,12 @@ func outputWrites(tr *trace.InstTrace, out OutputDesc) []int {
 	lo := out.Base
 	hi := out.Base + uint64(out.Rows-1)*uint64(out.Stride) + uint64(out.RowBytes)
 	var seqs []int
-	for i := range tr.Insts {
-		for _, ef := range tr.Insts[i].Effects {
+	for i := 0; i < tr.Len(); i++ {
+		di := tr.At(i)
+		for _, ef := range di.Effects {
 			d := ef.Dst
 			if d.Space == trace.SpaceMem && d.Addr+uint64(d.Width) > lo && d.Addr < hi {
-				seqs = append(seqs, tr.Insts[i].Seq)
+				seqs = append(seqs, di.Seq)
 				break
 			}
 		}
@@ -213,7 +214,7 @@ func (ex *extractor) sample(x, y, c int) (*ir.Expr, []Guard, error) {
 		return nil, nil, fmt.Errorf("no trace write to %#x", addr)
 	}
 	seq := writes[len(writes)-1]
-	di := &ex.tr.Insts[seq]
+	di := ex.tr.At(seq)
 	ef := findEffect(di, addr, 1)
 	if ef == nil {
 		return nil, nil, fmt.Errorf("writer %v has no effect covering %#x", di.Op, addr)
@@ -261,7 +262,7 @@ func (ex *extractor) collectGuards(seq int) ([]Guard, error) {
 	}
 	var guards []Guard
 	for s := start; s < seq; s++ {
-		di := &ex.tr.Insts[s]
+		di := ex.tr.At(s)
 		if !di.Op.IsCondJump() {
 			continue
 		}
@@ -321,7 +322,7 @@ func (ex *extractor) condExpr(seq int, cc isa.Opcode) (*ir.Expr, error) {
 	if !ok {
 		return nil, fmt.Errorf("%v at seq %d has no flags producer in the trace", cc, seq)
 	}
-	pdi := &ex.tr.Insts[w]
+	pdi := ex.tr.At(w)
 	ef := findEffect(pdi, trace.FlagsAddr, 1)
 	if ef == nil {
 		return nil, fmt.Errorf("flags producer %v at seq %d has no flags effect", pdi.Op, w)
@@ -374,7 +375,7 @@ func (ex *extractor) condExpr(seq int, cc isa.Opcode) (*ir.Expr, error) {
 			}
 		}
 		return nil, fmt.Errorf("%v at %#x consumes flags of %v at %#x, which has no reconstructible value; the nearest liftable pattern compares with cmp or test",
-			cc, ex.tr.Insts[seq].Addr, pdi.Op, pdi.Addr)
+			cc, ex.tr.At(seq).Addr, pdi.Op, pdi.Addr)
 	}
 }
 
@@ -449,7 +450,7 @@ func (ex *extractor) refExpr(seq int, ref trace.Ref) (*ir.Expr, error) {
 		return ex.refConst(ref), nil
 	case trace.SpaceFlags:
 		return nil, fmt.Errorf("%v at %#x (seq %d) consumes raw flag bits as data; only setcc, conditional branches and cmp/test flag flows are liftable",
-			ex.tr.Insts[seq].Op, ex.tr.Insts[seq].Addr, seq)
+			ex.tr.At(seq).Op, ex.tr.At(seq).Addr, seq)
 	}
 
 	// Input-region reads terminate the slice as stencil taps, even when an
@@ -503,14 +504,14 @@ func (ex *extractor) refExpr(seq int, ref trace.Ref) (*ir.Expr, error) {
 // refConst lifts the value a reference was observed with as a constant.
 func (ex *extractor) refConst(ref trace.Ref) *ir.Expr {
 	if ref.Float {
-		return ex.t.constF(ref.FVal)
+		return ex.t.constF(ref.FVal())
 	}
 	return ex.t.constant(int64(ref.Val))
 }
 
 // throughWrite continues the slice through the effect that last wrote ref.
 func (ex *extractor) throughWrite(w int, ref trace.Ref) (*ir.Expr, error) {
-	di := &ex.tr.Insts[w]
+	di := ex.tr.At(w)
 	ef := findEffect(di, ref.Addr, ref.Width)
 	if ef == nil {
 		return nil, fmt.Errorf("%v at %#x (seq %d) wrote only part of %v; partial-write slicing is unsupported — the nearest liftable pattern stores the full destination width before any wider read (split the store, or read back at the stored width)",
@@ -723,7 +724,7 @@ func (ex *extractor) dataSegment(ref trace.Ref) *isa.Segment {
 // index expression is reconstructed from the address registers (paper
 // section 4.7, table lookups such as Photoshop's brightness LUT).
 func (ex *extractor) segmentRef(seq int, ref trace.Ref, seg *isa.Segment) (*ir.Expr, error) {
-	di := &ex.tr.Insts[seq]
+	di := ex.tr.At(seq)
 	if len(di.AddrRefs) == 0 || !di.HasMem || di.MemAddr != ref.Addr {
 		ex.nodes++
 		return ex.refConst(ref), nil
@@ -787,7 +788,7 @@ func (ex *extractor) segmentRef(seq int, ref trace.Ref, seg *isa.Segment) (*ir.E
 // observes a partially built table, which no bind-at-eval-time table
 // input can model.
 func (ex *extractor) tableInRef(seq int, ref trace.Ref, tb *TableDesc) (*ir.Expr, error) {
-	di := &ex.tr.Insts[seq]
+	di := ex.tr.At(seq)
 	if seq < tb.LastWrite {
 		return nil, fmt.Errorf("%v at %#x (seq %d) reads the reduction table at %#x before the table is fully written (final table write at seq %d); a consuming stage must run after the whole reduction",
 			di.Op, di.Addr, seq, ref.Addr, tb.LastWrite)

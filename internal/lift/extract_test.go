@@ -41,10 +41,12 @@ func flagsRef() trace.Ref {
 }
 
 func synthTrace(insts []trace.DynInst) *trace.InstTrace {
-	for i := range insts {
-		insts[i].Seq = i
+	tr := &trace.InstTrace{}
+	for i, di := range insts {
+		di.Seq = i
+		tr.Emit(di)
 	}
-	return &trace.InstTrace{Insts: insts}
+	return tr
 }
 
 // extractErr runs extraction over a synthetic trace and returns the error

@@ -220,7 +220,7 @@ func Lift(name string, t Target) (*Result, error) {
 		Kernel:     last.Kernel,
 		Reduction:  last.Red,
 		Dump:       tres.Dump,
-		TraceInsts: len(tres.Trace.Insts),
+		TraceInsts: tres.Trace.Len(),
 		TraceSteps: tres.Steps,
 		Samples:    samples,
 		PhaseTimes: spans,

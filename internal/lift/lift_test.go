@@ -555,3 +555,39 @@ func BenchmarkLiftSharpen(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkTraceSharpen measures the instruction trace capture of the
+// sharpen filter at the benchmark-of-record geometry: the traced VM run
+// and the write index RunTrace builds over it.
+func BenchmarkTraceSharpen(b *testing.B) {
+	k, _ := legacy.Lookup("sharpen")
+	inst := k.Instantiate(legacy.Config{Width: 64, Height: 48, Seed: 1})
+	tgt := target(inst)
+	loc, err := lift.Localize(tgt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := vm.NewMachine(tgt.Prog)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tgt.Setup(m, true)
+		if _, err := m.RunTrace(vm.TraceOptions{FilterEntry: loc.FilterEntry}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLocalizeSharpen measures code localization of the sharpen
+// filter at the benchmark-of-record geometry.
+func BenchmarkLocalizeSharpen(b *testing.B) {
+	k, _ := legacy.Lookup("sharpen")
+	tgt := target(k.Instantiate(legacy.Config{Width: 64, Height: 48, Seed: 1}))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := lift.Localize(tgt); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

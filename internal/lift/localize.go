@@ -61,7 +61,7 @@ func (k KnownInput) Row(y int) []byte {
 
 // Localization is the outcome of two-phase code localization: the filter
 // function entry, the coverage difference that isolated it, and the memory
-// trace of the profiling run restricted to the difference.
+// trace of the on-run restricted to the difference.
 type Localization struct {
 	// FilterEntry is the discovered entry address of the filter function.
 	FilterEntry uint32
@@ -75,29 +75,38 @@ type Localization struct {
 	// runs.
 	OnBlocks, OffBlocks int
 	// MemTrace is the memory access trace of the difference blocks,
-	// collected by the profiling run.
+	// collected by the on-run.
 	MemTrace []trace.MemAccess
 }
 
-// Localize performs two-phase code localization (paper section 3.1): a
-// coverage screening run with the filter applied, one without, a diff to
-// isolate filter-only code, and a profiling run instrumenting only the
-// difference to collect its memory accesses and dynamic call targets.  The
-// filter function is the outermost difference call target: a difference
-// target whose call sites all lie inside another difference function is an
-// internal helper (for example a tile worker under a tile driver).
+// Localize performs two-phase code localization (paper section 3.1) in two
+// runs.  The off-run (filter not applied) records plain coverage.  The
+// on-run (filter applied) then instruments exactly the blocks the off-run
+// never covered: those blocks are the coverage difference, so the one run
+// yields the difference together with its memory accesses and dynamic call
+// targets.  The filter function is the outermost difference call target: a
+// difference target whose call sites all lie inside another difference
+// function is an internal helper (for example a tile worker under a tile
+// driver).
 func Localize(t Target) (*Localization, error) {
 	m := vm.NewMachine(t.Prog)
 
+	t.Setup(m, false)
+	off, offErr := m.RunCoverage(vm.CoverageOptions{MaxSteps: t.MaxSteps})
+	// An on-run failure is reported ahead of an off-run failure, so the
+	// on-run still executes when the off-run failed.
+	onOpts := vm.CoverageOptions{MaxSteps: t.MaxSteps}
+	if offErr == nil {
+		onOpts.ExcludeBlocks = off.Covered()
+		onOpts.TraceMemory = true
+	}
 	t.Setup(m, true)
-	on, err := m.RunCoverage(vm.CoverageOptions{MaxSteps: t.MaxSteps})
+	on, err := m.RunCoverage(onOpts)
 	if err != nil {
 		return nil, reject(PhaseLocalize, fmt.Errorf("lift: on-run coverage: %w", err))
 	}
-	t.Setup(m, false)
-	off, err := m.RunCoverage(vm.CoverageOptions{MaxSteps: t.MaxSteps})
-	if err != nil {
-		return nil, reject(PhaseLocalize, fmt.Errorf("lift: off-run coverage: %w", err))
+	if offErr != nil {
+		return nil, reject(PhaseLocalize, fmt.Errorf("lift: off-run coverage: %w", offErr))
 	}
 
 	diff := make(map[uint32]bool)
@@ -110,21 +119,11 @@ func Localize(t Target) (*Localization, error) {
 		return nil, reject(PhaseLocalize, fmt.Errorf("lift: coverage diff is empty: the filter flag changed nothing"))
 	}
 
-	t.Setup(m, true)
-	prof, err := m.RunCoverage(vm.CoverageOptions{
-		MaxSteps:         t.MaxSteps,
-		InstrumentBlocks: diff,
-		TraceMemory:      true,
-	})
-	if err != nil {
-		return nil, reject(PhaseLocalize, fmt.Errorf("lift: profiling run: %w", err))
-	}
-
-	candidates := diffCallTargets(prof.CallTargets, diff)
+	candidates := diffCallTargets(on.CallTargets, diff)
 	if len(candidates) == 0 {
 		return nil, reject(PhaseLocalize, fmt.Errorf("lift: no call target found inside the coverage diff"))
 	}
-	ordered := orderOutermost(candidates, prof.CallTargets)
+	ordered := orderOutermost(candidates, on.CallTargets)
 
 	return &Localization{
 		FilterEntry: ordered[0],
@@ -132,7 +131,7 @@ func Localize(t Target) (*Localization, error) {
 		Diff:        diff,
 		OnBlocks:    len(on.Blocks),
 		OffBlocks:   len(off.Blocks),
-		MemTrace:    prof.MemTrace,
+		MemTrace:    on.MemTrace,
 	}, nil
 }
 

@@ -48,8 +48,8 @@ func recognizeReduction(name string, tr *trace.InstTrace, prog *isa.Program, in 
 	// is the slot size.
 	elem := 0
 	var initSeqs, updSeqs []redEvent
-	for i := range tr.Insts {
-		di := &tr.Insts[i]
+	for i := 0; i < tr.Len(); i++ {
+		di := tr.At(i)
 		for e := range di.Effects {
 			ef := &di.Effects[e]
 			d := ef.Dst
@@ -88,7 +88,7 @@ func recognizeReduction(name string, tr *trace.InstTrace, prog *isa.Program, in 
 	init := make([]uint64, bins)
 	seenInit := make([]bool, bins)
 	for _, ev := range initSeqs {
-		di := &tr.Insts[ev.seq]
+		di := tr.At(ev.seq)
 		ef := findEffect(di, base+uint64(ev.slot*elem), uint8(elem))
 		if ef == nil {
 			return nil, nil, 0, fmt.Errorf("lift: initializer at seq %d writes only part of slot %d", ev.seq, ev.slot)
@@ -127,7 +127,7 @@ func recognizeReduction(name string, tr *trace.InstTrace, prog *isa.Program, in 
 	}
 
 	updateDelta := func(ev redEvent) error {
-		di := &tr.Insts[ev.seq]
+		di := tr.At(ev.seq)
 		slotAddr := base + uint64(ev.slot*elem)
 		ef := findEffect(di, slotAddr, uint8(elem))
 		if ef == nil {
@@ -161,7 +161,7 @@ func recognizeReduction(name string, tr *trace.InstTrace, prog *isa.Program, in 
 	}
 
 	updateIndex := func(ev redEvent) error {
-		di := &tr.Insts[ev.seq]
+		di := tr.At(ev.seq)
 		slotAddr := base + uint64(ev.slot*elem)
 		idx, px, py, err := ex.indexExpr(di, slotAddr, base, elem)
 		if err != nil {

@@ -9,6 +9,8 @@ package trace
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"helium/internal/isa"
@@ -51,18 +53,27 @@ func IsRegAddr(addr uint64) bool { return addr >= RegSpaceBase }
 // byte range in the unified address space together with the value observed
 // there, or an immediate.
 type Ref struct {
-	Space Space
 	// Addr is the unified address of the first byte (unused for SpaceImm).
 	Addr uint64
+	// Val is the integer value read or written (zero-extended), or the
+	// immediate value for SpaceImm.  Float references hold the raw bits of
+	// their value: float32 bits at width 4, float64 bits otherwise.
+	Val   uint64
+	Space Space
 	// Width is the width of the reference in bytes.
 	Width uint8
-	// Val is the integer value read or written (zero-extended), or the
-	// immediate value for SpaceImm.
-	Val uint64
-	// FVal is the floating point value for float references.
-	FVal float64
 	// Float marks references to floating point data.
 	Float bool
+}
+
+// FVal decodes the floating point value of a float reference from its bits.
+// A 4-byte float store therefore reports the float32-rounded value it
+// stored, not the wider value it was rounded from.
+func (r Ref) FVal() float64 {
+	if r.Width == 4 {
+		return float64(math.Float32frombits(uint32(r.Val)))
+	}
+	return math.Float64frombits(r.Val)
 }
 
 // Overlaps reports whether the byte ranges of r and other intersect.
@@ -171,8 +182,8 @@ func (op ExprOp) String() string {
 // assignment independently of x86 instruction packaging.
 type Effect struct {
 	Dst  Ref
-	Op   ExprOp
 	Srcs []Ref
+	Op   ExprOp
 }
 
 // DynInst is one entry of the detailed dynamic instruction trace collected
@@ -180,12 +191,6 @@ type Effect struct {
 type DynInst struct {
 	// Seq is the position of the record in the trace.
 	Seq int
-	// Addr is the static instruction address.
-	Addr uint32
-	// Op is the ISA operation executed.
-	Op isa.Opcode
-	// Width is the operation width in bytes.
-	Width uint8
 	// Effects are the architectural assignments the instruction performed.
 	Effects []Effect
 	// AddrRefs are the register references used to form memory operand
@@ -196,19 +201,26 @@ type DynInst struct {
 	AddrRefs []Ref
 	// MemAddr is the absolute address of the memory operand, if any.
 	MemAddr uint64
+	// Sym is the imported symbol for external calls.
+	Sym string
+	// Addr is the static instruction address.
+	Addr uint32
+	// Op is the ISA operation executed.
+	Op isa.Opcode
+	// Width is the operation width in bytes.
+	Width uint8
 	// HasMem reports whether the instruction had a memory operand.
 	HasMem bool
 	// Taken records the outcome of conditional jumps.
 	Taken bool
-	// Sym is the imported symbol for external calls.
-	Sym string
 }
 
 // Sink consumes dynamic instruction records as the tracer produces them.
 // Streaming consumers (on-line analyses, filters, serializers) implement
 // Sink directly; batch consumers collect into an InstTrace, which is itself
-// a Sink.  Emit must not retain di or its slices past the call unless it
-// copies them.
+// a Sink.  The tracer reuses the buffers behind di's Effects (and their
+// Srcs) and AddrRefs for the next instruction, so Emit must not retain di's
+// slices past the call unless it copies them.
 type Sink interface {
 	Emit(di DynInst) error
 }
@@ -219,41 +231,81 @@ type SinkFunc func(di DynInst) error
 // Emit calls f(di).
 func (f SinkFunc) Emit(di DynInst) error { return f(di) }
 
-// InstTrace is a captured instruction trace together with the write index
-// needed by the backward analysis.
-type InstTrace struct {
-	Insts []DynInst
+// Storage granularity of an InstTrace.  Records live in fixed-size chunks so
+// that a growing trace never copies what it already holds; effects and refs
+// are packed into arena chunks the records' slices point into.
+const (
+	chunkBits  = 10
+	chunkSize  = 1 << chunkBits
+	arenaChunk = 1 << 13
+)
 
-	// writesAt maps a unified byte address to the ordered list of trace
-	// sequence numbers that wrote that byte.
-	writesAt map[uint64][]int
+// InstTrace is a captured instruction trace together with the write index
+// needed by the backward analysis.  Records are addressed by sequence
+// number through At; the trace owns deep copies of everything emitted.
+type InstTrace struct {
+	chunks  [][]DynInst
+	n       int
+	effects arena[Effect]
+	refs    arena[Ref]
+
+	// idx is the write index; nil until built and after every Emit.
+	idx *writeIndex
 }
 
-// Emit appends a record, making InstTrace the batch-collecting Sink.  The
-// write index is invalidated; call BuildWriteIndex again after the trace is
-// complete.
+// arena hands out capped sub-slices of large shared chunks, so storing a
+// record's effects and refs costs no allocation of its own.  A full chunk
+// is abandoned, not grown: the slices already handed out keep it alive.
+type arena[T any] struct {
+	cur []T
+}
+
+// copyOf returns an arena-owned copy of src (nil when src is empty).
+func (a *arena[T]) copyOf(src []T) []T {
+	if len(src) == 0 {
+		return nil
+	}
+	if cap(a.cur)-len(a.cur) < len(src) {
+		a.cur = make([]T, 0, max(arenaChunk, len(src)))
+	}
+	start := len(a.cur)
+	a.cur = append(a.cur, src...)
+	return a.cur[start:len(a.cur):len(a.cur)]
+}
+
+// Len returns the number of records in the trace.
+func (t *InstTrace) Len() int { return t.n }
+
+// At returns the record with sequence number seq, 0 <= seq < Len().  The
+// record belongs to the trace: callers may read it but not modify it.
+func (t *InstTrace) At(seq int) *DynInst {
+	return &t.chunks[seq>>chunkBits][seq&(chunkSize-1)]
+}
+
+// Emit appends a deep copy of a record, making InstTrace the
+// batch-collecting Sink.  The write index is invalidated; call
+// BuildWriteIndex again after the trace is complete.
 func (t *InstTrace) Emit(di DynInst) error {
-	t.Insts = append(t.Insts, di)
-	t.writesAt = nil
+	if t.n&(chunkSize-1) == 0 {
+		t.chunks = append(t.chunks, make([]DynInst, chunkSize))
+	}
+	effects := t.effects.copyOf(di.Effects)
+	for i := range effects {
+		effects[i].Srcs = t.refs.copyOf(effects[i].Srcs)
+	}
+	di.Effects = effects
+	di.AddrRefs = t.refs.copyOf(di.AddrRefs)
+	*t.At(t.n) = di
+	t.n++
+	t.idx = nil
 	return nil
 }
 
 // BuildWriteIndex constructs the per-byte write index used by
-// LastWriteBefore.  It must be called once after the trace is complete.
+// LastWriteBefore and WritesTo.  It must be called once after the trace is
+// complete.
 func (t *InstTrace) BuildWriteIndex() {
-	t.writesAt = make(map[uint64][]int)
-	for _, di := range t.Insts {
-		for _, ef := range di.Effects {
-			d := ef.Dst
-			if d.Space == SpaceImm || d.Space == SpaceNone {
-				continue
-			}
-			for b := uint64(0); b < uint64(d.Width); b++ {
-				a := d.Addr + b
-				t.writesAt[a] = append(t.writesAt[a], di.Seq)
-			}
-		}
-	}
+	t.idx = buildWriteIndex(t)
 }
 
 // EnsureWriteIndex builds the write index only if it has not been built
@@ -261,7 +313,7 @@ func (t *InstTrace) BuildWriteIndex() {
 // goroutines: the index itself is read-only once built, but the lazy
 // first build is not.
 func (t *InstTrace) EnsureWriteIndex() {
-	if t.writesAt == nil {
+	if t.idx == nil {
 		t.BuildWriteIndex()
 	}
 }
@@ -272,17 +324,10 @@ func (t *InstTrace) EnsureWriteIndex() {
 // the latest of them is returned; the backward analysis then discovers the
 // partial overlap while matching widths.
 func (t *InstTrace) LastWriteBefore(seq int, addr uint64, width uint8) (int, bool) {
-	if t.writesAt == nil {
-		t.BuildWriteIndex()
-	}
+	t.EnsureWriteIndex()
 	best := -1
 	for b := uint64(0); b < uint64(width); b++ {
-		ws := t.writesAt[addr+b]
-		// Binary search for the last write strictly before seq.
-		i := sort.SearchInts(ws, seq)
-		if i > 0 && ws[i-1] > best {
-			best = ws[i-1]
-		}
+		best = max(best, t.idx.lastBefore(seq, addr+b))
 	}
 	if best < 0 {
 		return 0, false
@@ -293,10 +338,209 @@ func (t *InstTrace) LastWriteBefore(seq int, addr uint64, width uint8) (int, boo
 // WritesTo returns all trace sequence numbers that wrote the exact byte
 // address, in order.
 func (t *InstTrace) WritesTo(addr uint64) []int {
-	if t.writesAt == nil {
-		t.BuildWriteIndex()
+	t.EnsureWriteIndex()
+	return t.idx.writesTo(addr)
+}
+
+// regSlots is the number of unified addresses from RegSpaceBase up to and
+// including the flags register, the register part of the write index.
+const regSlots = FlagsAddr - RegSpaceBase + 8
+
+// writeIndex maps every written byte of the unified address space to the
+// ordered sequence numbers that wrote it.
+//
+//   - Register and flags bytes, a few hundred addresses rewritten by nearly
+//     every instruction, use a fixed table: the writers of slot k are
+//     regSeqs[regStart[k]:regStart[k+1]].
+//   - Memory bytes use one sorted array of addr<<32|seq keys, so the
+//     writers of an address are a contiguous run found by binary search
+//     however often it was rewritten (stack slots are rewritten hundreds of
+//     thousands of times).
+//   - Any other address (only reachable from hand-built traces) falls back
+//     to a map.
+//
+// Sequence numbers are stored in 32 bits; a trace is far smaller than that.
+type writeIndex struct {
+	regStart []int32
+	regSeqs  []int32
+	mem      []uint64
+	other    map[uint64][]int
+}
+
+// forEachWrite calls fn for the destination of every effect of the trace
+// that writes a location, in trace order.
+func forEachWrite(t *InstTrace, fn func(d *Ref, seq int)) {
+	for s := 0; s < t.n; s++ {
+		di := t.At(s)
+		for e := range di.Effects {
+			if d := &di.Effects[e].Dst; d.Space != SpaceImm && d.Space != SpaceNone {
+				fn(d, di.Seq)
+			}
+		}
 	}
-	return t.writesAt[addr]
+}
+
+// inRegTable reports whether all bytes of d fall in the register table.
+func inRegTable(d *Ref) bool {
+	return d.Addr >= RegSpaceBase && d.Addr+uint64(d.Width) <= RegSpaceBase+regSlots
+}
+
+// inMem reports whether all bytes of d fall in 32-bit memory.
+func inMem(d *Ref) bool { return d.Addr+uint64(d.Width) <= RegSpaceBase }
+
+func buildWriteIndex(t *InstTrace) *writeIndex {
+	idx := &writeIndex{regStart: make([]int32, regSlots+1)}
+	nMem := 0
+	add := func(a uint64, seq int) {
+		if idx.other == nil {
+			idx.other = make(map[uint64][]int)
+		}
+		idx.other[a] = append(idx.other[a], seq)
+	}
+	// Pass 1 sizes the register table and the memory keys; the rare
+	// destinations straddling or outside both go byte by byte.
+	forEachWrite(t, func(d *Ref, seq int) {
+		switch {
+		case inRegTable(d):
+			for k := d.Addr - RegSpaceBase; k < d.Addr-RegSpaceBase+uint64(d.Width); k++ {
+				idx.regStart[k+1]++
+			}
+		case inMem(d):
+			nMem += int(d.Width)
+		default:
+			for b := uint64(0); b < uint64(d.Width); b++ {
+				switch a := d.Addr + b; {
+				case a-RegSpaceBase < regSlots:
+					idx.regStart[a-RegSpaceBase+1]++
+				case a < RegSpaceBase:
+					nMem++
+				default:
+					add(a, seq)
+				}
+			}
+		}
+	})
+	for k := 1; k < len(idx.regStart); k++ {
+		idx.regStart[k] += idx.regStart[k-1]
+	}
+	idx.regSeqs = make([]int32, idx.regStart[regSlots])
+	mem := make([]uint64, 0, nMem)
+	fill := append([]int32(nil), idx.regStart[:regSlots]...)
+	putReg := func(k uint64, seq int) {
+		idx.regSeqs[fill[k]] = int32(seq)
+		fill[k]++
+	}
+	// Pass 2 fills them, still in trace order.
+	forEachWrite(t, func(d *Ref, seq int) {
+		switch {
+		case inRegTable(d):
+			for k := d.Addr - RegSpaceBase; k < d.Addr-RegSpaceBase+uint64(d.Width); k++ {
+				putReg(k, seq)
+			}
+		case inMem(d):
+			for a := d.Addr; a < d.Addr+uint64(d.Width); a++ {
+				mem = append(mem, a<<32|uint64(seq))
+			}
+		default:
+			for b := uint64(0); b < uint64(d.Width); b++ {
+				switch a := d.Addr + b; {
+				case a-RegSpaceBase < regSlots:
+					putReg(a-RegSpaceBase, seq)
+				case a < RegSpaceBase:
+					mem = append(mem, a<<32|uint64(seq))
+				}
+			}
+		}
+	})
+	idx.mem = sortByAddr(mem)
+	return idx
+}
+
+// sortByAddr sorts memory keys emitted in trace order by address, keeping
+// trace order within an address, with a least-significant-digit radix sort
+// over the 32 address bits.  A digit every key shares (the high half of
+// most addresses) costs one counting pass and no move.
+func sortByAddr(keys []uint64) []uint64 {
+	const digitBits = 16
+	var buf []uint64
+	count := make([]int, 1<<digitBits)
+	for shift := uint(32); shift < 64; shift += digitBits {
+		clear(count)
+		for _, k := range keys {
+			count[k>>shift&(1<<digitBits-1)]++
+		}
+		if len(keys) == 0 || count[keys[0]>>shift&(1<<digitBits-1)] == len(keys) {
+			continue
+		}
+		pos := 0
+		for d, c := range count {
+			count[d] = pos
+			pos += c
+		}
+		if buf == nil {
+			buf = make([]uint64, len(keys))
+		}
+		for _, k := range keys {
+			d := k >> shift & (1<<digitBits - 1)
+			buf[count[d]] = k
+			count[d]++
+		}
+		keys, buf = buf, keys
+	}
+	return keys
+}
+
+// lastBefore returns the last writer of byte a strictly before seq, or -1.
+func (idx *writeIndex) lastBefore(seq int, a uint64) int {
+	if seq <= 0 {
+		return -1
+	}
+	switch {
+	case a-RegSpaceBase < regSlots:
+		ws := idx.regWrites(a)
+		i, _ := slices.BinarySearch(ws, int32(min(seq, math.MaxInt32)))
+		if i > 0 {
+			return int(ws[i-1])
+		}
+	case a < RegSpaceBase:
+		i, _ := slices.BinarySearch(idx.mem, a<<32|uint64(min(seq, math.MaxUint32)))
+		if i > 0 && idx.mem[i-1]>>32 == a {
+			return int(uint32(idx.mem[i-1]))
+		}
+	default:
+		ws := idx.other[a]
+		if i := sort.SearchInts(ws, seq); i > 0 {
+			return ws[i-1]
+		}
+	}
+	return -1
+}
+
+func (idx *writeIndex) regWrites(a uint64) []int32 {
+	k := a - RegSpaceBase
+	return idx.regSeqs[idx.regStart[k]:idx.regStart[k+1]]
+}
+
+// writesTo returns the writers of byte a in trace order, nil when none.
+func (idx *writeIndex) writesTo(a uint64) []int {
+	var ws []int
+	switch {
+	case a-RegSpaceBase < regSlots:
+		for _, s := range idx.regWrites(a) {
+			ws = append(ws, int(s))
+		}
+	case a < RegSpaceBase:
+		lo, _ := slices.BinarySearch(idx.mem, a<<32)
+		for _, k := range idx.mem[lo:] {
+			if k>>32 != a {
+				break
+			}
+			ws = append(ws, int(uint32(k)))
+		}
+	default:
+		ws = idx.other[a]
+	}
+	return ws
 }
 
 // MemDump is a page-granularity dump of the memory touched by candidate

@@ -14,6 +14,7 @@ type stepRecord struct {
 	op       isa.Opcode
 	width    uint8
 	effects  []trace.Effect
+	srcs     []trace.Ref // backing store of every effect's Srcs
 	addrRefs []trace.Ref
 	memAddr  uint64
 	hasMem   bool
@@ -28,6 +29,7 @@ func (r *stepRecord) reset() {
 	r.op = isa.NOP
 	r.width = 0
 	r.effects = r.effects[:0]
+	r.srcs = r.srcs[:0]
 	r.addrRefs = r.addrRefs[:0]
 	r.accesses = r.accesses[:0]
 	r.memAddr = 0
@@ -37,13 +39,29 @@ func (r *stepRecord) reset() {
 	r.sym = ""
 }
 
+// effect records one assignment.  Its sources are copied into the record's
+// srcs buffer, which reset recycles: an effect's Srcs stay valid until the
+// next reset.
 func (r *stepRecord) effect(dst trace.Ref, op trace.ExprOp, srcs ...trace.Ref) {
 	if r == nil {
 		return
 	}
-	cp := make([]trace.Ref, len(srcs))
-	copy(cp, srcs)
-	r.effects = append(r.effects, trace.Effect{Dst: dst, Op: op, Srcs: cp})
+	start := len(r.srcs)
+	r.srcs = append(r.srcs, srcs...)
+	end := len(r.srcs)
+	r.effects = append(r.effects, trace.Effect{Dst: dst, Op: op, Srcs: r.srcs[start:end:end]})
+}
+
+// mem records a memory operand access: its address registers, its
+// address and the access itself.
+func (r *stepRecord) mem(instAddr uint32, addr uint32, width int, regs *addrRegs, write bool) {
+	if r == nil {
+		return
+	}
+	r.addrRefs = append(r.addrRefs, regs.slice()...)
+	r.memAddr = uint64(addr)
+	r.hasMem = true
+	r.access(instAddr, addr, width, write)
 }
 
 func (r *stepRecord) access(instAddr uint32, addr uint32, width int, write bool) {
@@ -92,14 +110,9 @@ func (m *Machine) operandValue(inst isa.Inst, o isa.Operand, rec *stepRecord) (u
 	case isa.KindImm:
 		return uint64(o.Imm), immRef(o.Imm), nil
 	case isa.KindMem:
-		addr, addrRefs := m.effectiveAddr(o)
+		addr, regs := m.effectiveAddr(o)
 		v := m.Mem.Read(addr, o.Width)
-		if rec != nil {
-			rec.addrRefs = append(rec.addrRefs, addrRefs...)
-			rec.memAddr = uint64(addr)
-			rec.hasMem = true
-			rec.access(inst.Addr, addr, o.Width, false)
-		}
+		rec.mem(inst.Addr, addr, o.Width, &regs, false)
 		return v, memRef(addr, o.Width, v), nil
 	}
 	return 0, trace.Ref{}, m.faultf("unsupported operand kind %d", o.Kind)
@@ -111,7 +124,7 @@ func (m *Machine) operandFloat(inst isa.Inst, o isa.Operand, rec *stepRecord) (f
 	if o.Kind != isa.KindMem {
 		return 0, trace.Ref{}, m.faultf("float operand must be memory")
 	}
-	addr, addrRefs := m.effectiveAddr(o)
+	addr, regs := m.effectiveAddr(o)
 	bits := m.Mem.Read(addr, o.Width)
 	var v float64
 	if o.Width == 4 {
@@ -119,12 +132,7 @@ func (m *Machine) operandFloat(inst isa.Inst, o isa.Operand, rec *stepRecord) (f
 	} else {
 		v = math.Float64frombits(bits)
 	}
-	if rec != nil {
-		rec.addrRefs = append(rec.addrRefs, addrRefs...)
-		rec.memAddr = uint64(addr)
-		rec.hasMem = true
-		rec.access(inst.Addr, addr, o.Width, false)
-	}
+	rec.mem(inst.Addr, addr, o.Width, &regs, false)
 	return v, memRefF(addr, o.Width, v), nil
 }
 
@@ -137,15 +145,10 @@ func (m *Machine) writeOperand(inst isa.Inst, o isa.Operand, v uint64, rec *step
 		ref := m.regRef(o.Reg)
 		return ref, nil
 	case isa.KindMem:
-		addr, addrRefs := m.effectiveAddr(o)
+		addr, regs := m.effectiveAddr(o)
 		v = maskWidth(v, o.Width)
 		m.Mem.Write(addr, o.Width, v)
-		if rec != nil {
-			rec.addrRefs = append(rec.addrRefs, addrRefs...)
-			rec.memAddr = uint64(addr)
-			rec.hasMem = true
-			rec.access(inst.Addr, addr, o.Width, true)
-		}
+		rec.mem(inst.Addr, addr, o.Width, &regs, true)
 		return memRef(addr, o.Width, v), nil
 	}
 	return trace.Ref{}, m.faultf("cannot write operand kind %d", o.Kind)
@@ -284,7 +287,7 @@ func (m *Machine) step(rec *stepRecord) error {
 		rec.effect(dst, trace.OpSExt, src)
 
 	case isa.LEA:
-		addr, addrRefs := m.effectiveAddr(in.Src)
+		addr, regs := m.effectiveAddr(in.Src)
 		dst, err := m.writeOperand(in, in.Dst, uint64(addr), rec)
 		if err != nil {
 			return err
@@ -293,11 +296,11 @@ func (m *Machine) step(rec *stepRecord) error {
 		// trace, but the computation itself is data flow.
 		base := immRef(0)
 		if in.Src.Base != isa.RegNone {
-			base = m.regRefBefore(in.Src.Base, addrRefs)
+			base = m.regRefBefore(in.Src.Base, regs.slice())
 		}
 		index := immRef(0)
 		if in.Src.Index != isa.RegNone {
-			index = m.regRefBefore(in.Src.Index, addrRefs)
+			index = m.regRefBefore(in.Src.Index, regs.slice())
 		}
 		rec.effect(dst, trace.OpLea, base, index, immRef(int64(in.Src.Scale)), immRef(int64(in.Src.Disp)))
 
@@ -698,14 +701,9 @@ func (m *Machine) execFloat(in isa.Inst, rec *stepRecord) error {
 		if in.Dst.Kind != isa.KindMem {
 			return m.faultf("fild requires a memory operand")
 		}
-		addr, addrRefs := m.effectiveAddr(in.Dst)
+		addr, regs := m.effectiveAddr(in.Dst)
 		iv := signExtend(m.Mem.Read(addr, in.Dst.Width), in.Dst.Width)
-		if rec != nil {
-			rec.addrRefs = append(rec.addrRefs, addrRefs...)
-			rec.memAddr = uint64(addr)
-			rec.hasMem = true
-			rec.access(in.Addr, addr, in.Dst.Width, false)
-		}
+		rec.mem(in.Addr, addr, in.Dst.Width, &regs, false)
 		r := m.fpuPush(float64(iv))
 		rec.effect(m.regRef(r), trace.OpIntToFP, memRef(addr, in.Dst.Width, uint64(iv)))
 
@@ -713,7 +711,7 @@ func (m *Machine) execFloat(in isa.Inst, rec *stepRecord) error {
 		if in.Dst.Kind != isa.KindMem {
 			return m.faultf("fst requires a memory operand")
 		}
-		addr, addrRefs := m.effectiveAddr(in.Dst)
+		addr, regs := m.effectiveAddr(in.Dst)
 		topRef := m.regRef(m.fpuTopReg())
 		v := m.fpuTop()
 		var bits uint64
@@ -723,12 +721,7 @@ func (m *Machine) execFloat(in isa.Inst, rec *stepRecord) error {
 			bits = math.Float64bits(v)
 		}
 		m.Mem.Write(addr, in.Dst.Width, bits)
-		if rec != nil {
-			rec.addrRefs = append(rec.addrRefs, addrRefs...)
-			rec.memAddr = uint64(addr)
-			rec.hasMem = true
-			rec.access(in.Addr, addr, in.Dst.Width, true)
-		}
+		rec.mem(in.Addr, addr, in.Dst.Width, &regs, true)
 		rec.effect(memRefF(addr, in.Dst.Width, v), trace.OpIdentity, topRef)
 		if in.Op == isa.FSTP {
 			m.fpuPop()
@@ -738,17 +731,12 @@ func (m *Machine) execFloat(in isa.Inst, rec *stepRecord) error {
 		if in.Dst.Kind != isa.KindMem {
 			return m.faultf("fistp requires a memory operand")
 		}
-		addr, addrRefs := m.effectiveAddr(in.Dst)
+		addr, regs := m.effectiveAddr(in.Dst)
 		topRef := m.regRef(m.fpuTopReg())
 		v := m.fpuTop()
 		iv := int64(math.RoundToEven(v))
 		m.Mem.Write(addr, in.Dst.Width, maskWidth(uint64(iv), in.Dst.Width))
-		if rec != nil {
-			rec.addrRefs = append(rec.addrRefs, addrRefs...)
-			rec.memAddr = uint64(addr)
-			rec.hasMem = true
-			rec.access(in.Addr, addr, in.Dst.Width, true)
-		}
+		rec.mem(in.Addr, addr, in.Dst.Width, &regs, true)
 		rec.effect(memRef(addr, in.Dst.Width, maskWidth(uint64(iv), in.Dst.Width)), trace.OpFPToInt, topRef)
 		m.fpuPop()
 

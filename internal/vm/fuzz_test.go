@@ -1,9 +1,11 @@
 package vm
 
 import (
+	"reflect"
 	"testing"
 
 	"helium/internal/isa"
+	"helium/internal/trace"
 )
 
 // fuzzEntry is where fuzzed programs are laid out; the value itself is
@@ -68,7 +70,9 @@ func fuzzProgram(data []byte) *isa.Program {
 // FuzzVM feeds arbitrary instruction streams to the emulator under every
 // instrumentation mode.  The contract is narrow and absolute: bounded
 // runs return — with a structured fault or a clean halt — and never
-// panic, whatever the bytes decode to.
+// panic, whatever the bytes decode to.  The batch trace must also hold
+// exactly the records the streaming tracer emitted, copied at Emit time:
+// the tracer reuses its record buffers, so any aliasing shows up here.
 func FuzzVM(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := fuzzProgram(data)
@@ -86,7 +90,29 @@ func FuzzVM(f *testing.F) {
 		m.Reset()
 		_, _ = m.RunCoverage(CoverageOptions{MaxSteps: budget})
 
+		opts := TraceOptions{MaxSteps: budget, FilterEntry: p.Entry, MaxTraceInsts: budget}
 		m.Reset()
-		_, _ = m.RunTrace(TraceOptions{MaxSteps: budget, FilterEntry: p.Entry, MaxTraceInsts: budget})
+		res, err := m.RunTrace(opts)
+
+		m.Reset()
+		var want []trace.DynInst
+		_, serr := m.RunTraceStream(opts, trace.SinkFunc(func(di trace.DynInst) error {
+			want = append(want, deepCopy(di))
+			return nil
+		}))
+		if (err == nil) != (serr == nil) {
+			t.Fatalf("RunTrace error %v, RunTraceStream error %v", err, serr)
+		}
+		if err != nil {
+			return
+		}
+		if res.Trace.Len() != len(want) {
+			t.Fatalf("RunTrace kept %d records, the stream emitted %d", res.Trace.Len(), len(want))
+		}
+		for i := range want {
+			if got := res.Trace.At(i); !reflect.DeepEqual(*got, want[i]) {
+				t.Fatalf("record %d:\n got %+v\nwant %+v", i, *got, want[i])
+			}
+		}
 	})
 }

@@ -221,38 +221,46 @@ func (m *Machine) pop32() uint32 {
 	return v
 }
 
+// addrRegs holds the register references (base, then index) that formed a
+// memory operand's address, by value so that computing an address never
+// allocates.
+type addrRegs struct {
+	refs [2]trace.Ref
+	n    int
+}
+
+func (a *addrRegs) slice() []trace.Ref { return a.refs[:a.n] }
+
 // effectiveAddr computes the absolute address of a memory operand and
 // returns the register references used to form it.
-func (m *Machine) effectiveAddr(o isa.Operand) (uint32, []trace.Ref) {
+func (m *Machine) effectiveAddr(o isa.Operand) (uint32, addrRegs) {
 	var addr uint32
-	var refs []trace.Ref
+	var regs addrRegs
 	if o.Base != isa.RegNone {
 		v := uint32(m.readReg(o.Base))
 		addr += v
-		refs = append(refs, m.regRef(o.Base))
+		regs.refs[regs.n] = m.regRef(o.Base)
+		regs.n++
 	}
 	if o.Index != isa.RegNone {
 		v := uint32(m.readReg(o.Index))
 		addr += v * uint32(o.Scale)
-		refs = append(refs, m.regRef(o.Index))
+		regs.refs[regs.n] = m.regRef(o.Index)
+		regs.n++
 	}
 	addr += uint32(o.Disp)
-	return addr, refs
+	return addr, regs
 }
 
 // regRef builds a trace.Ref for the current value of a register view.
 func (m *Machine) regRef(r isa.Reg) trace.Ref {
-	ref := trace.Ref{
+	return trace.Ref{
 		Space: trace.SpaceReg,
 		Addr:  trace.RegAddr(r),
 		Width: uint8(r.Width()),
 		Val:   m.readReg(r),
+		Float: r.IsFloat(),
 	}
-	if r.IsFloat() {
-		ref.Float = true
-		ref.FVal = m.fregs[r-isa.F0]
-	}
-	return ref
 }
 
 // memRef builds a trace.Ref for a memory location holding the given value.
@@ -268,7 +276,7 @@ func memRefF(addr uint32, width int, fval float64) trace.Ref {
 	} else {
 		bits = math.Float64bits(fval)
 	}
-	return trace.Ref{Space: trace.SpaceMem, Addr: uint64(addr), Width: uint8(width), Val: bits, Float: true, FVal: fval}
+	return trace.Ref{Space: trace.SpaceMem, Addr: uint64(addr), Width: uint8(width), Val: bits, Float: true}
 }
 
 // immRef builds a trace.Ref for an immediate.

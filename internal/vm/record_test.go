@@ -46,7 +46,7 @@ type rrec struct {
 func norm(r trace.Ref, src bool) rref {
 	out := rref{Space: r.Space, Addr: r.Addr, Width: r.Width, Val: r.Val, Float: r.Float}
 	if r.Float && src {
-		out.F = r.FVal
+		out.F = r.FVal()
 	}
 	return out
 }
@@ -419,8 +419,8 @@ func TestRecordMemoryOperands(t *testing.T) {
 				t.Fatalf("RunTrace: %v", err)
 			}
 			var batch []trace.DynInst
-			for i := 0; i < len(res.Trace.Insts); i++ {
-				batch = append(batch, res.Trace.Insts[i])
+			for i := 0; i < res.Trace.Len(); i++ {
+				batch = append(batch, *res.Trace.At(i))
 			}
 			got, err := pick(batch)
 			if err != nil {
@@ -447,5 +447,30 @@ func TestRecordMemoryOperands(t *testing.T) {
 				t.Errorf("RunTraceStream record\n got %+v\nwant %+v", got, want)
 			}
 		})
+	}
+}
+
+// TestFloatStoreDecodesStoredBits pins what a 4-byte float store's refs
+// decode to: the destination reports the float32-rounded value it stored,
+// the source register the unrounded double.  Only source refs are lifted
+// as constants, so the rounding never reaches a lifted tree.
+func TestFloatStoreDecodesStoredBits(t *testing.T) {
+	m := NewMachine(recordProgram(recordCase{
+		prefix: []isa.Inst{{Op: isa.FLD, Dst: isa.Mem(isa.EBX, 0, 8)}},
+		inst:   isa.Inst{Op: isa.FST, Dst: isa.Mem(isa.ESI, 0, 4)},
+	}))
+	m.SetReg(isa.EBX, 0x2000)
+	m.SetReg(isa.ESI, 0x3000)
+	m.Mem.Write(0x2000, 8, math.Float64bits(0.1))
+	res, err := m.RunTrace(TraceOptions{FilterEntry: recEntry})
+	if err != nil {
+		t.Fatalf("RunTrace: %v", err)
+	}
+	ef := res.Trace.At(1).Effects[0]
+	if got, want := ef.Dst.FVal(), f32(0.1); got != want {
+		t.Errorf("fst dword destination decodes to %v, want the rounded %v", got, want)
+	}
+	if got := ef.Srcs[0].FVal(); got != 0.1 {
+		t.Errorf("fst source register decodes to %v, want 0.1", got)
 	}
 }

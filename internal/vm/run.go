@@ -25,23 +25,24 @@ type Edge struct {
 	From, To uint32
 }
 
-// CoverageOptions configures an instrumented coverage/profiling run
-// (paper section 3.1).
+// CoverageOptions configures an instrumented coverage run (paper section
+// 3.1).
 type CoverageOptions struct {
 	// MaxSteps bounds the number of executed instructions (0 = default).
 	MaxSteps uint64
-	// InstrumentBlocks restricts instrumentation to the given block leaders.
-	// A nil map instruments every block (used for the initial coverage
-	// screening runs); the second profiling run passes the coverage
-	// difference here.
-	InstrumentBlocks map[uint32]bool
+	// ExcludeBlocks lists block leaders left uninstrumented: their call
+	// targets, edges and memory accesses are not collected, although they
+	// still count in Blocks.  Code localization's on-run passes the off-run's
+	// coverage here, so it instruments exactly the coverage difference.  A
+	// nil map instruments every block.
+	ExcludeBlocks map[uint32]bool
 	// TraceMemory collects a memory access trace for instrumented blocks.
 	TraceMemory bool
 }
 
-// CoverageResult is the outcome of a coverage/profiling run.
+// CoverageResult is the outcome of a coverage run.
 type CoverageResult struct {
-	// Blocks maps basic block leader addresses to execution counts.
+	// Blocks maps every covered basic block leader to its execution count.
 	Blocks map[uint32]uint64
 	// Edges maps predecessor edges between instrumented blocks to counts.
 	Edges map[Edge]uint64
@@ -89,12 +90,10 @@ func (m *Machine) RunCoverage(opts CoverageOptions) (*CoverageResult, error) {
 		}
 		eip := m.eip
 		if leaders[eip] {
-			instrumented := opts.InstrumentBlocks == nil || opts.InstrumentBlocks[eip]
-			if instrumented {
-				res.Blocks[eip]++
-				if haveBlock && curInstrumented {
-					res.Edges[Edge{From: curBlock, To: eip}]++
-				}
+			res.Blocks[eip]++
+			instrumented := !opts.ExcludeBlocks[eip]
+			if instrumented && haveBlock && curInstrumented {
+				res.Edges[Edge{From: curBlock, To: eip}]++
 			}
 			curBlock, haveBlock, curInstrumented = eip, true, instrumented
 		}
@@ -174,6 +173,10 @@ type TraceResult struct {
 // inside the filter function (including its callees) to sink.  The memory
 // dump is still accumulated here because only the emulator can snapshot
 // pages before later writes disturb them.
+//
+// The record's Effects (with their Srcs) and AddrRefs are the machine's own
+// per-step buffers, overwritten by the next instruction: a sink that keeps
+// them past Emit must copy them, as trace.InstTrace does.
 func (m *Machine) RunTraceStream(opts TraceOptions, sink trace.Sink) (*StreamResult, error) {
 	maxSteps := opts.MaxSteps
 	if maxSteps == 0 {
@@ -221,11 +224,11 @@ func (m *Machine) RunTraceStream(opts TraceOptions, sink trace.Sink) (*StreamRes
 				MemAddr: r.memAddr,
 				HasMem:  r.hasMem,
 			}
-			if len(r.effects) > 0 {
-				di.Effects = append([]trace.Effect(nil), r.effects...)
+			if n := len(r.effects); n > 0 {
+				di.Effects = r.effects[:n:n]
 			}
-			if len(r.addrRefs) > 0 {
-				di.AddrRefs = append([]trace.Ref(nil), r.addrRefs...)
+			if n := len(r.addrRefs); n > 0 {
+				di.AddrRefs = r.addrRefs[:n:n]
 			}
 			if err := sink.Emit(di); err != nil {
 				return nil, err
