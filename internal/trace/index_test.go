@@ -56,7 +56,8 @@ func randomWrite(rng *rand.Rand) Ref {
 	case 3:
 		return Ref{Space: SpaceFlags, Addr: FlagsAddr, Width: 4}
 	case 4, 5:
-		hot := []uint64{0x1000, 0x1002, 0x1003, 0x0ffeffc, 0xfffffff8}
+		// 0x20010 sorts below 0x1000 on its low 16 bits alone.
+		hot := []uint64{0x1000, 0x1002, 0x1003, 0x20010, 0x0ffeffc, 0xfffffff8}
 		w := []uint8{1, 2, 4, 8}[rng.Intn(4)]
 		return Ref{Space: SpaceMem, Addr: hot[rng.Intn(len(hot))] + uint64(rng.Intn(3)), Width: w}
 	case 6:

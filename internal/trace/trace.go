@@ -279,6 +279,13 @@ func (t *InstTrace) Len() int { return t.n }
 // At returns the record with sequence number seq, 0 <= seq < Len().  The
 // record belongs to the trace: callers may read it but not modify it.
 func (t *InstTrace) At(seq int) *DynInst {
+	if uint(seq) >= uint(t.n) {
+		panic(fmt.Sprintf("trace: record %d out of range [0, %d)", seq, t.n))
+	}
+	return t.at(seq)
+}
+
+func (t *InstTrace) at(seq int) *DynInst {
 	return &t.chunks[seq>>chunkBits][seq&(chunkSize-1)]
 }
 
@@ -295,7 +302,7 @@ func (t *InstTrace) Emit(di DynInst) error {
 	}
 	di.Effects = effects
 	di.AddrRefs = t.refs.copyOf(di.AddrRefs)
-	*t.At(t.n) = di
+	*t.at(t.n) = di
 	t.n++
 	t.idx = nil
 	return nil
@@ -367,57 +374,38 @@ type writeIndex struct {
 	other    map[uint64][]int
 }
 
-// forEachWrite calls fn for the destination of every effect of the trace
-// that writes a location, in trace order.
-func forEachWrite(t *InstTrace, fn func(d *Ref, seq int)) {
+// forEachWrittenByte calls fn for every byte every effect of the trace
+// wrote, in trace order.
+func forEachWrittenByte(t *InstTrace, fn func(a uint64, seq int)) {
 	for s := 0; s < t.n; s++ {
-		di := t.At(s)
+		di := t.at(s)
 		for e := range di.Effects {
-			if d := &di.Effects[e].Dst; d.Space != SpaceImm && d.Space != SpaceNone {
-				fn(d, di.Seq)
+			d := &di.Effects[e].Dst
+			if d.Space == SpaceImm || d.Space == SpaceNone {
+				continue
+			}
+			for a := d.Addr; a < d.Addr+uint64(d.Width); a++ {
+				fn(a, di.Seq)
 			}
 		}
 	}
 }
-
-// inRegTable reports whether all bytes of d fall in the register table.
-func inRegTable(d *Ref) bool {
-	return d.Addr >= RegSpaceBase && d.Addr+uint64(d.Width) <= RegSpaceBase+regSlots
-}
-
-// inMem reports whether all bytes of d fall in 32-bit memory.
-func inMem(d *Ref) bool { return d.Addr+uint64(d.Width) <= RegSpaceBase }
 
 func buildWriteIndex(t *InstTrace) *writeIndex {
 	idx := &writeIndex{regStart: make([]int32, regSlots+1)}
 	nMem := 0
-	add := func(a uint64, seq int) {
-		if idx.other == nil {
-			idx.other = make(map[uint64][]int)
-		}
-		idx.other[a] = append(idx.other[a], seq)
-	}
-	// Pass 1 sizes the register table and the memory keys; the rare
-	// destinations straddling or outside both go byte by byte.
-	forEachWrite(t, func(d *Ref, seq int) {
+	// Pass 1 sizes the register table and the memory keys.
+	forEachWrittenByte(t, func(a uint64, seq int) {
 		switch {
-		case inRegTable(d):
-			for k := d.Addr - RegSpaceBase; k < d.Addr-RegSpaceBase+uint64(d.Width); k++ {
-				idx.regStart[k+1]++
-			}
-		case inMem(d):
-			nMem += int(d.Width)
+		case a-RegSpaceBase < regSlots:
+			idx.regStart[a-RegSpaceBase+1]++
+		case a < RegSpaceBase:
+			nMem++
 		default:
-			for b := uint64(0); b < uint64(d.Width); b++ {
-				switch a := d.Addr + b; {
-				case a-RegSpaceBase < regSlots:
-					idx.regStart[a-RegSpaceBase+1]++
-				case a < RegSpaceBase:
-					nMem++
-				default:
-					add(a, seq)
-				}
+			if idx.other == nil {
+				idx.other = make(map[uint64][]int)
 			}
+			idx.other[a] = append(idx.other[a], seq)
 		}
 	})
 	for k := 1; k < len(idx.regStart); k++ {
@@ -426,30 +414,15 @@ func buildWriteIndex(t *InstTrace) *writeIndex {
 	idx.regSeqs = make([]int32, idx.regStart[regSlots])
 	mem := make([]uint64, 0, nMem)
 	fill := append([]int32(nil), idx.regStart[:regSlots]...)
-	putReg := func(k uint64, seq int) {
-		idx.regSeqs[fill[k]] = int32(seq)
-		fill[k]++
-	}
 	// Pass 2 fills them, still in trace order.
-	forEachWrite(t, func(d *Ref, seq int) {
+	forEachWrittenByte(t, func(a uint64, seq int) {
 		switch {
-		case inRegTable(d):
-			for k := d.Addr - RegSpaceBase; k < d.Addr-RegSpaceBase+uint64(d.Width); k++ {
-				putReg(k, seq)
-			}
-		case inMem(d):
-			for a := d.Addr; a < d.Addr+uint64(d.Width); a++ {
-				mem = append(mem, a<<32|uint64(seq))
-			}
-		default:
-			for b := uint64(0); b < uint64(d.Width); b++ {
-				switch a := d.Addr + b; {
-				case a-RegSpaceBase < regSlots:
-					putReg(a-RegSpaceBase, seq)
-				case a < RegSpaceBase:
-					mem = append(mem, a<<32|uint64(seq))
-				}
-			}
+		case a-RegSpaceBase < regSlots:
+			k := a - RegSpaceBase
+			idx.regSeqs[fill[k]] = int32(seq)
+			fill[k]++
+		case a < RegSpaceBase:
+			mem = append(mem, a<<32|uint64(seq))
 		}
 	})
 	idx.mem = sortByAddr(mem)

@@ -92,27 +92,34 @@ func FuzzVM(f *testing.F) {
 
 		opts := TraceOptions{MaxSteps: budget, FilterEntry: p.Entry, MaxTraceInsts: budget}
 		m.Reset()
-		res, err := m.RunTrace(opts)
-
-		m.Reset()
 		var want []trace.DynInst
+		kept := &trace.InstTrace{}
 		_, serr := m.RunTraceStream(opts, trace.SinkFunc(func(di trace.DynInst) error {
 			want = append(want, deepCopy(di))
-			return nil
+			return kept.Emit(di)
 		}))
+		sameRecords(t, "InstTrace fed by the stream", kept, want)
+
+		m.Reset()
+		res, err := m.RunTrace(opts)
 		if (err == nil) != (serr == nil) {
 			t.Fatalf("RunTrace error %v, RunTraceStream error %v", err, serr)
 		}
-		if err != nil {
-			return
-		}
-		if res.Trace.Len() != len(want) {
-			t.Fatalf("RunTrace kept %d records, the stream emitted %d", res.Trace.Len(), len(want))
-		}
-		for i := range want {
-			if got := res.Trace.At(i); !reflect.DeepEqual(*got, want[i]) {
-				t.Fatalf("record %d:\n got %+v\nwant %+v", i, *got, want[i])
-			}
+		if err == nil {
+			sameRecords(t, "RunTrace", res.Trace, want)
 		}
 	})
+}
+
+// sameRecords demands that tr holds exactly the records of want.
+func sameRecords(t *testing.T, what string, tr *trace.InstTrace, want []trace.DynInst) {
+	t.Helper()
+	if tr.Len() != len(want) {
+		t.Fatalf("%s kept %d records, the stream emitted %d", what, tr.Len(), len(want))
+	}
+	for i := range want {
+		if got := tr.At(i); !reflect.DeepEqual(*got, want[i]) {
+			t.Fatalf("%s record %d:\n got %+v\nwant %+v", what, i, *got, want[i])
+		}
+	}
 }

@@ -87,8 +87,11 @@ func rflags(v uint64) rref {
 // f32 is the float32 rounding of f, widened back.
 func f32(f float64) float64 { return float64(float32(f)) }
 
-// recordCase runs prefix, then the instruction under test, then ret, and
-// pins the record the instruction under test emits.
+// recordCase runs prefix, then the instruction under test, then an add that
+// records effects of its own, then ret, and pins the record the
+// instruction under test emits.  The trailing add reuses the tracer's
+// per-step buffers, so a trace that kept them instead of copying would
+// show its effects in place of the pinned ones.
 type recordCase struct {
 	name   string
 	init   func(m *Machine)
@@ -99,7 +102,9 @@ type recordCase struct {
 
 func recordProgram(tc recordCase) *isa.Program {
 	p := &isa.Program{Name: "record", Entry: recEntry}
-	insts := append(append(append([]isa.Inst(nil), tc.prefix...), tc.inst), isa.Inst{Op: isa.RET})
+	insts := append(append([]isa.Inst(nil), tc.prefix...), tc.inst,
+		isa.Inst{Op: isa.ADD, Dst: isa.RegOp(isa.EBP), Src: isa.MemOp(isa.ESP, isa.EBP, 1, 0, 4)},
+		isa.Inst{Op: isa.RET})
 	for i, in := range insts {
 		in.Addr = recEntry + uint32(i)*4
 		p.Insts = append(p.Insts, in)
