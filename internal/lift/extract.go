@@ -209,11 +209,10 @@ func outputWrites(tr *trace.InstTrace, out OutputDesc) []int {
 // the data-dependent branch guards of its dynamic window.
 func (ex *extractor) sample(x, y, c int) (*ir.Expr, []Guard, error) {
 	addr := ex.bufs.Out.Addr(x, y, c)
-	writes := ex.tr.WritesTo(addr)
-	if len(writes) == 0 {
+	seq, ok := ex.tr.LastWriteBefore(ex.tr.Len(), addr, 1)
+	if !ok {
 		return nil, nil, fmt.Errorf("no trace write to %#x", addr)
 	}
-	seq := writes[len(writes)-1]
 	di := ex.tr.At(seq)
 	ef := findEffect(di, addr, 1)
 	if ef == nil {

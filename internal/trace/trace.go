@@ -309,7 +309,7 @@ func (t *InstTrace) Emit(di DynInst) error {
 }
 
 // BuildWriteIndex constructs the per-byte write index used by
-// LastWriteBefore and WritesTo.  It must be called once after the trace is
+// LastWriteBefore.  It must be called once after the trace is
 // complete.
 func (t *InstTrace) BuildWriteIndex() {
 	t.idx = buildWriteIndex(t)
@@ -340,13 +340,6 @@ func (t *InstTrace) LastWriteBefore(seq int, addr uint64, width uint8) (int, boo
 		return 0, false
 	}
 	return best, true
-}
-
-// WritesTo returns all trace sequence numbers that wrote the exact byte
-// address, in order.
-func (t *InstTrace) WritesTo(addr uint64) []int {
-	t.EnsureWriteIndex()
-	return t.idx.writesTo(addr)
 }
 
 // regSlots is the number of unified addresses from RegSpaceBase up to and
@@ -425,42 +418,11 @@ func buildWriteIndex(t *InstTrace) *writeIndex {
 			mem = append(mem, a<<32|uint64(seq))
 		}
 	})
-	idx.mem = sortByAddr(mem)
+	// Keys are addr<<32|seq, so sorting them orders by address and keeps
+	// trace order within an address.
+	slices.Sort(mem)
+	idx.mem = mem
 	return idx
-}
-
-// sortByAddr sorts memory keys emitted in trace order by address, keeping
-// trace order within an address, with a least-significant-digit radix sort
-// over the 32 address bits.  A digit every key shares (the high half of
-// most addresses) costs one counting pass and no move.
-func sortByAddr(keys []uint64) []uint64 {
-	const digitBits = 16
-	var buf []uint64
-	count := make([]int, 1<<digitBits)
-	for shift := uint(32); shift < 64; shift += digitBits {
-		clear(count)
-		for _, k := range keys {
-			count[k>>shift&(1<<digitBits-1)]++
-		}
-		if len(keys) == 0 || count[keys[0]>>shift&(1<<digitBits-1)] == len(keys) {
-			continue
-		}
-		pos := 0
-		for d, c := range count {
-			count[d] = pos
-			pos += c
-		}
-		if buf == nil {
-			buf = make([]uint64, len(keys))
-		}
-		for _, k := range keys {
-			d := k >> shift & (1<<digitBits - 1)
-			buf[count[d]] = k
-			count[d]++
-		}
-		keys, buf = buf, keys
-	}
-	return keys
 }
 
 // lastBefore returns the last writer of byte a strictly before seq, or -1.
@@ -470,7 +432,8 @@ func (idx *writeIndex) lastBefore(seq int, a uint64) int {
 	}
 	switch {
 	case a-RegSpaceBase < regSlots:
-		ws := idx.regWrites(a)
+		k := a - RegSpaceBase
+		ws := idx.regSeqs[idx.regStart[k]:idx.regStart[k+1]]
 		i, _ := slices.BinarySearch(ws, int32(min(seq, math.MaxInt32)))
 		if i > 0 {
 			return int(ws[i-1])
@@ -487,33 +450,6 @@ func (idx *writeIndex) lastBefore(seq int, a uint64) int {
 		}
 	}
 	return -1
-}
-
-func (idx *writeIndex) regWrites(a uint64) []int32 {
-	k := a - RegSpaceBase
-	return idx.regSeqs[idx.regStart[k]:idx.regStart[k+1]]
-}
-
-// writesTo returns the writers of byte a in trace order, nil when none.
-func (idx *writeIndex) writesTo(a uint64) []int {
-	var ws []int
-	switch {
-	case a-RegSpaceBase < regSlots:
-		for _, s := range idx.regWrites(a) {
-			ws = append(ws, int(s))
-		}
-	case a < RegSpaceBase:
-		lo, _ := slices.BinarySearch(idx.mem, a<<32)
-		for _, k := range idx.mem[lo:] {
-			if k>>32 != a {
-				break
-			}
-			ws = append(ws, int(uint32(k)))
-		}
-	default:
-		ws = idx.other[a]
-	}
-	return ws
 }
 
 // MemDump is a page-granularity dump of the memory touched by candidate

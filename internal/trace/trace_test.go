@@ -126,8 +126,12 @@ func TestLastWriteBefore(t *testing.T) {
 	if _, ok := tr.LastWriteBefore(5, 300, 4); ok {
 		t.Error("unwritten range must report no writer")
 	}
-	if ws := tr.WritesTo(200); len(ws) != 1 || ws[0] != 2 {
-		t.Errorf("WritesTo(200) = %v, want [2]", ws)
+	// Byte 200 has exactly one writer, seq 2.
+	if w, ok := tr.LastWriteBefore(tr.Len(), 200, 1); !ok || w != 2 {
+		t.Errorf("byte 200: got (%d,%v), want (2,true)", w, ok)
+	}
+	if _, ok := tr.LastWriteBefore(2, 200, 1); ok {
+		t.Error("byte 200 has no writer before seq 2")
 	}
 }
 
