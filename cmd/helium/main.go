@@ -9,8 +9,6 @@
 //
 //	helium [-kernel name] [-width N] [-height N] [-seed N] [-v]
 //	       [-backend interp|compiled|generated] [-workers N] [-strict]
-//	helium -bench [-bench-out BENCH_lift.json] [-workers-sweep auto|1,2,4]
-//	       [-cpuprofile f] [-memprofile f]
 //	helium tune [-out schedules.json] [-smoke] [-width N] [-height N]
 //	helium gen [-out dir] [-check] [-schedules schedules.json]
 //
@@ -27,11 +25,6 @@
 // a correct answer always comes back even when the lift itself fails.
 // -strict disables the chain: the first failure is fatal.
 //
-// -bench times VM emulation against every execution backend over the
-// corpus — the generated code under its tuned schedule — sweeps the
-// generated backend over worker counts, and writes a machine-readable
-// JSON report.
-//
 // The tune subcommand is the autotuner: it races candidate schedules
 // (tiles, workers, materialize vs sliding-window fusion) per kernel on
 // the generated runtime, verifying each candidate bit-exact against the
@@ -43,25 +36,21 @@
 // as the generated kernels' defaults; -check verifies the checked-in
 // package is up to date instead of writing, for CI.
 //
+// Performance is measured outside this command: by the perfbench module
+// (end to end and per layer) and by the Go benchmarks in internal/lift.
+//
 // The exit status is nonzero if anything fails to lift, verify, tune or
 // regenerate cleanly.
 package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io/fs"
-	"math"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
-	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"helium/internal/faultpoint"
@@ -107,11 +96,6 @@ func main() {
 		workers    = flag.Int("workers", 0, "parallel eval workers (0 = GOMAXPROCS)")
 		verbose    = flag.Bool("v", false, "print localization and buffer details")
 		list       = flag.Bool("list", false, "list the corpus kernels and exit")
-		bench      = flag.Bool("bench", false, "benchmark VM vs all evaluation backends over the corpus")
-		benchOut   = flag.String("bench-out", "BENCH_lift.json", "benchmark report path (with -bench)")
-		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile of the bench run to this file")
-		memProf    = flag.String("memprofile", "", "write a heap profile after the bench run to this file")
-		sweep      = flag.String("workers-sweep", "auto", "bench worker-count sweep: comma list or \"auto\" (powers of two up to GOMAXPROCS)")
 		strict     = flag.Bool("strict", false, "disable graceful backend degradation: the first backend failure is fatal")
 	)
 	flag.Parse()
@@ -126,10 +110,6 @@ func main() {
 	case "interp", "compiled", "generated":
 	default:
 		fmt.Fprintf(os.Stderr, "helium: unknown backend %q (interp, compiled or generated)\n", *backend)
-		os.Exit(2)
-	}
-	if (*cpuProf != "" || *memProf != "") && !*bench {
-		fmt.Fprintf(os.Stderr, "helium: -cpuprofile/-memprofile only apply to -bench runs\n")
 		os.Exit(2)
 	}
 
@@ -151,13 +131,6 @@ func main() {
 	}
 
 	cfg := legacy.Config{Width: *width, Height: *height, Seed: *seed}
-	if *bench {
-		if err := runBench(kernels, cfg, *workers, *benchOut, *cpuProf, *memProf, *sweep); err != nil {
-			fmt.Fprintf(os.Stderr, "helium: bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	failed := false
 	for _, k := range kernels {
@@ -481,278 +454,4 @@ func GenerateCorpusPackage(cfg legacy.Config, scheds *schedule.Set) (map[string]
 		"runtime.go": ir.GenerateRuntime("liftedkernels"),
 		"kernels.go": src,
 	}, nil
-}
-
-// benchEntry is one kernel's timing row in the JSON report.
-type benchEntry struct {
-	Kernel      string             `json:"kernel"`
-	Width       int                `json:"width"`
-	Height      int                `json:"height"`
-	Samples     int                `json:"samples"`
-	NsPerSample map[string]float64 `json:"ns_per_sample"`
-	Speedup     map[string]float64 `json:"speedup_vs_interp"`
-	// LiftPhases is the one-time lift cost split by pipeline phase, in
-	// milliseconds (localize, trace, extract, ... verify, compile) — the
-	// "how long until this binary serves" half of the report, next to the
-	// steady-state ns_per_sample half.
-	LiftPhases map[string]float64 `json:"lift_phases,omitempty"`
-	// Sweeps maps the GOMAXPROCS value the sweep ran under to worker-count
-	// rows of per-backend ns/sample — scaling curves keyed by the
-	// parallelism actually available, so a 1-core container's flat curve
-	// is never mistaken for a multi-core measurement.
-	Sweeps map[string]map[string]map[string]float64 `json:"sweeps_by_gomaxprocs,omitempty"`
-}
-
-// benchReport is the whole machine-readable benchmark artifact.
-type benchReport struct {
-	Config   string       `json:"config"`
-	MaxProcs int          `json:"gomaxprocs"`
-	CPUs     int          `json:"cpus"`
-	Machine  string       `json:"machine"`
-	Kernels  []benchEntry `json:"kernels"`
-}
-
-// benchBackends is the timing matrix, in report order: VM emulation, the
-// tree-walking interpreter, the serial row-vectorized register executor,
-// and the ahead-of-time generated Go code under its tuned schedule.
-var benchBackends = []string{"vm", "interp", "compiled", "generated"}
-
-// sweepWorkers parses the -workers-sweep flag: a comma list of counts, or
-// "auto" for powers of two up to GOMAXPROCS (always including GOMAXPROCS
-// itself).
-func sweepWorkers(spec string) ([]int, error) {
-	maxp := runtime.GOMAXPROCS(0)
-	var out []int
-	seen := map[int]bool{}
-	add := func(w int) {
-		if w >= 1 && !seen[w] {
-			seen[w] = true
-			out = append(out, w)
-		}
-	}
-	if spec == "auto" || spec == "" {
-		for w := 1; w <= maxp; w *= 2 {
-			add(w)
-		}
-		add(maxp)
-		return out, nil
-	}
-	for _, part := range strings.Split(spec, ",") {
-		w, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || w < 1 {
-			return nil, fmt.Errorf("bad -workers-sweep entry %q", part)
-		}
-		add(w)
-	}
-	sort.Ints(out)
-	return out, nil
-}
-
-// timeIt measures fn's steady-state nanoseconds per call: after one
-// warmup call, three measurement rounds of at least two iterations and
-// ~15ms each, keeping the fastest round.  The minimum across rounds is
-// far more robust to scheduler and thermal noise on a shared machine than
-// one long mean, which matters because the committed baseline asserts
-// cross-backend orderings.
-func timeIt(fn func() error) (float64, error) {
-	const (
-		rounds   = 3
-		minIters = 2
-		minTime  = 15 * time.Millisecond
-	)
-	if err := fn(); err != nil {
-		return 0, err
-	}
-	best := math.Inf(1)
-	for r := 0; r < rounds; r++ {
-		iters := 0
-		start := time.Now()
-		for {
-			if err := fn(); err != nil {
-				return 0, err
-			}
-			iters++
-			if iters >= minIters && time.Since(start) >= minTime {
-				break
-			}
-		}
-		if ns := float64(time.Since(start).Nanoseconds()) / float64(iters); ns < best {
-			best = ns
-		}
-	}
-	return best, nil
-}
-
-// runBench lifts each kernel once, verifies every backend, then times VM
-// emulation, the tree-walking interpreter, the serial compiled backend
-// and the generated Go code under its tuned schedule over the same image,
-// writing ns-per-sample per kernel per backend — plus a worker-count
-// sweep of the generated backend — to the JSON report.
-func runBench(kernels []legacy.Kernel, cfg legacy.Config, workers int, outPath, cpuProf, memProf string, sweepSpec string) error {
-	sweep, err := sweepWorkers(sweepSpec)
-	if err != nil {
-		return err
-	}
-	if cpuProf != "" {
-		f, err := os.Create(cpuProf)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
-	}
-
-	report := benchReport{
-		Config:   cfg.String(),
-		MaxProcs: runtime.GOMAXPROCS(0),
-		CPUs:     runtime.NumCPU(),
-		Machine:  schedule.HostMachineKey(),
-	}
-	for _, k := range kernels {
-		inst := k.Instantiate(cfg)
-		res, err := lift.Lift(k.Name, target(inst))
-		if err != nil {
-			return fmt.Errorf("%s: %w", k.Name, err)
-		}
-		if err := res.Verify(); err != nil {
-			return fmt.Errorf("%s: %w", k.Name, err)
-		}
-		ck, err := res.VerifyCompiled(workers)
-		if err != nil {
-			return fmt.Errorf("%s: %w", k.Name, err)
-		}
-		gk, _, err := evalGenerated(k.Name, res)
-		if err != nil {
-			return fmt.Errorf("%s: %w", k.Name, err)
-		}
-		src := res.MaterializeInput()
-		img, _ := genImage(src)
-		outW, outH := res.EvalDims()
-		want, err := res.VMOutput()
-		if err != nil {
-			return fmt.Errorf("%s: %w", k.Name, err)
-		}
-		samples := len(want)
-		gsc := new(liftedkernels.Scratch)
-		got, err := gk.EvalTunedInto(gsc, img, outW, outH)
-		if err != nil {
-			return fmt.Errorf("%s: tuned generated eval: %w", k.Name, err)
-		}
-		if !bytes.Equal(got, want) {
-			return fmt.Errorf("%s: tuned generated output (schedule %+v) differs from the VM's", k.Name, gk.Sched)
-		}
-
-		m := vm.NewMachine(inst.Prog)
-		runs := map[string]func() error{
-			"vm": func() error {
-				inst.Setup(m, true)
-				return m.Run(0)
-			},
-			"interp": func() error {
-				_, err := res.EvalIRAt(src, outW, outH)
-				return err
-			},
-			"compiled": func() error {
-				_, err := ck.EvalAt(src, outW, outH)
-				return err
-			},
-			"generated": func() error {
-				_, err := gk.EvalTunedInto(gsc, img, outW, outH)
-				return err
-			},
-		}
-		// Reductions have no register-program form: their compiled chain is
-		// the reduction evaluator itself, so only the honest backends are
-		// timed.
-		backends := benchBackends
-		isRed := res.Reduction != nil && res.Kernel == nil
-		if isRed {
-			backends = []string{"vm", "interp", "generated"}
-		}
-		entry := benchEntry{
-			Kernel:      k.Name,
-			Width:       cfg.Width,
-			Height:      cfg.Height,
-			Samples:     samples,
-			NsPerSample: make(map[string]float64),
-			Speedup:     make(map[string]float64),
-			LiftPhases:  make(map[string]float64),
-		}
-		// res carries the spans of every phase run so far: the lift
-		// pipeline itself plus the Verify and VerifyCompiled calls above.
-		for _, pt := range res.PhaseTimes {
-			entry.LiftPhases[string(pt.Phase)] += float64(pt.Dur.Nanoseconds()) / 1e6
-		}
-		for _, name := range backends {
-			ns, err := timeIt(runs[name])
-			if err != nil {
-				return fmt.Errorf("%s/%s: %w", k.Name, name, err)
-			}
-			entry.NsPerSample[name] = ns / float64(samples)
-		}
-		// Worker sweep: the generated backend re-timed under its tuned
-		// schedule at each worker count, keyed by the GOMAXPROCS the sweep
-		// ran under — scaling curves only when the machine has the cores
-		// (a 1-core container's curve is flat and honestly labeled "1").
-		if !isRed {
-			rows := map[string]map[string]float64{}
-			for _, w := range sweep {
-				gspec := gk.Sched
-				gspec.Workers = w
-				ns, err := timeIt(func() error {
-					_, err := gk.EvalInto(gsc, img, outW, outH, gspec)
-					return err
-				})
-				if err != nil {
-					return fmt.Errorf("%s/generated@%d: %w", k.Name, w, err)
-				}
-				rows[fmt.Sprint(w)] = map[string]float64{"generated": ns / float64(samples)}
-			}
-			entry.Sweeps = map[string]map[string]map[string]float64{
-				fmt.Sprint(report.MaxProcs): rows,
-			}
-		}
-		base := entry.NsPerSample["interp"]
-		for name, ns := range entry.NsPerSample {
-			if ns > 0 {
-				entry.Speedup[name] = base / ns
-			}
-		}
-		report.Kernels = append(report.Kernels, entry)
-		genVsCompiled := 0.0
-		if g := entry.NsPerSample["generated"]; g > 0 {
-			genVsCompiled = entry.NsPerSample["compiled"] / g
-		}
-		fmt.Printf("%-10s %7d samples   vm %9.1f   interp %7.2f   compiled %6.2f   generated %6.2f  ns/sample  (generated %0.1fx interp, %0.1fx compiled)\n",
-			k.Name, samples,
-			entry.NsPerSample["vm"], entry.NsPerSample["interp"],
-			entry.NsPerSample["compiled"], entry.NsPerSample["generated"],
-			entry.Speedup["generated"], genVsCompiled)
-	}
-
-	data, err := json.MarshalIndent(&report, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(outPath, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", outPath)
-
-	if memProf != "" {
-		f, err := os.Create(memProf)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -15,6 +15,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"math"
 	"runtime"
 	"time"
 
@@ -234,4 +235,39 @@ func genSpec(sc *schedule.Schedule) liftedkernels.ScheduleSpec {
 		spec.Stages = append(spec.Stages, liftedkernels.StageSched{TileW: st.TileW, TileH: st.TileH})
 	}
 	return spec
+}
+
+// timeIt measures fn's steady-state nanoseconds per call: after one
+// warmup call, three measurement rounds of at least two iterations and
+// ~15ms each, keeping the fastest round.  The minimum across rounds is
+// far more robust to scheduler and thermal noise on a shared machine than
+// one long mean, which matters because the tuner ranks candidates that
+// often differ by a few percent.
+func timeIt(fn func() error) (float64, error) {
+	const (
+		rounds   = 3
+		minIters = 2
+		minTime  = 15 * time.Millisecond
+	)
+	if err := fn(); err != nil {
+		return 0, err
+	}
+	best := math.Inf(1)
+	for r := 0; r < rounds; r++ {
+		iters := 0
+		start := time.Now()
+		for {
+			if err := fn(); err != nil {
+				return 0, err
+			}
+			iters++
+			if iters >= minIters && time.Since(start) >= minTime {
+				break
+			}
+		}
+		if ns := float64(time.Since(start).Nanoseconds()) / float64(iters); ns < best {
+			best = ns
+		}
+	}
+	return best, nil
 }

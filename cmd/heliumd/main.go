@@ -13,8 +13,6 @@
 //	        [-timeout 10s] [-drain 10s] [-warm] [-eval-workers N]
 //	        [-fault-slow 25ms] [-log-level info] [-pprof]
 //	heliumd -ref -kernel name [-width N] [-height N] [-seed N]
-//	heliumd -bench [-bench-out BENCH_serve.json] [-bench-kernel name]
-//	        [-bench-levels 1,4,16] [-bench-requests N]
 //
 // Endpoints:
 //
@@ -36,20 +34,18 @@
 // -ref prints the ground-truth response bytes for a pattern-mode request
 // computed by re-emulating the legacy binary directly — independent of
 // every lifted path — so CI can diff served bytes against the binary's
-// own output.  -bench runs the load generator against an in-process
-// server and writes BENCH_serve.json.
+// own output.  Load is measured by the perfbench module's serve-small and
+// serve-large workloads, which drive an in-process server with their own
+// client.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -75,15 +71,9 @@ func main() {
 
 		ref    = flag.Bool("ref", false, "print the vm ground-truth response for one request and exit")
 		kernel = flag.String("kernel", "boxblur3", "kernel for -ref")
-		width  = flag.Int("width", 40, "request width for -ref/-bench")
-		height = flag.Int("height", 24, "request height for -ref/-bench")
-		seed   = flag.Uint64("seed", 1, "request seed for -ref/-bench")
-
-		bench     = flag.Bool("bench", false, "run the load generator against an in-process server and exit")
-		benchOut  = flag.String("bench-out", "BENCH_serve.json", "bench report path")
-		benchKern = flag.String("bench-kernel", "boxblur3", "kernel the bench requests target")
-		benchLvls = flag.String("bench-levels", "1,4,16", "comma-separated concurrent client counts")
-		benchReqs = flag.Int("bench-requests", 400, "requests per concurrency level")
+		width  = flag.Int("width", 40, "request width for -ref")
+		height = flag.Int("height", 24, "request height for -ref")
+		seed   = flag.Uint64("seed", 1, "request seed for -ref")
 	)
 	flag.Parse()
 
@@ -102,8 +92,7 @@ func main() {
 		EnablePprof:      *pprofOn,
 	}
 
-	switch {
-	case *ref:
+	if *ref {
 		s := serve.New(opts)
 		out, err := s.Reference(*kernel, *width, *height, *seed)
 		if err != nil {
@@ -111,42 +100,11 @@ func main() {
 			os.Exit(1)
 		}
 		os.Stdout.Write(out)
-	case *bench:
-		if opts.PerKernel == 0 {
-			// Let the queue, not the per-kernel limit, govern overload at
-			// high client counts.
-			opts.PerKernel = *queue
-		}
-		levels, err := parseLevels(*benchLvls)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "heliumd: %v\n", err)
-			os.Exit(1)
-		}
-		s := serve.New(opts)
-		s.Warm()
-		rep, err := s.Bench(serve.BenchOptions{
-			Kernel: *benchKern, Width: *width, Height: *height, Seed: *seed,
-			Levels: levels, Requests: *benchReqs,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "heliumd: bench: %v\n", err)
-			os.Exit(1)
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), *drain)
-		s.Shutdown(ctx)
-		cancel()
-		data, _ := json.MarshalIndent(rep, "", "  ")
-		data = append(data, '\n')
-		if err := os.WriteFile(*benchOut, data, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "heliumd: bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s (%d levels)\n", *benchOut, len(rep.Levels))
-	default:
-		if err := run(opts, *addr, *warm, log); err != nil {
-			fmt.Fprintf(os.Stderr, "heliumd: %v\n", err)
-			os.Exit(1)
-		}
+		return
+	}
+	if err := run(opts, *addr, *warm, log); err != nil {
+		fmt.Fprintf(os.Stderr, "heliumd: %v\n", err)
+		os.Exit(1)
 	}
 }
 
@@ -192,23 +150,4 @@ func run(opts serve.Options, addr string, warm bool, log *obs.Logger) error {
 		fmt.Println("heliumd: drained, bye")
 		return <-done
 	}
-}
-
-func parseLevels(s string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		n, err := strconv.Atoi(f)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad concurrency level %q", f)
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no concurrency levels given")
-	}
-	return out, nil
 }

@@ -178,7 +178,7 @@ const (
 	SBB
 	IMUL // imul dst, src  or  imul dst, src, imm
 	MUL  // unsigned EDX:EAX = EAX * src
-	DIV  // unsigned EAX = EDX:EAX / src, EDX = remainder
+	DIV  // unsigned EAX = EAX / src, EDX = remainder (EAX-only dividend, unlike x86)
 	AND
 	OR
 	XOR

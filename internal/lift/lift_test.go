@@ -9,6 +9,7 @@ import (
 	"helium/internal/ir"
 	"helium/internal/legacy"
 	"helium/internal/lift"
+	"helium/internal/liftedkernels"
 	"helium/internal/trace"
 	"helium/internal/vm"
 )
@@ -459,38 +460,53 @@ func BenchmarkCompiledParallelBoxBlur(b *testing.B) {
 	}
 }
 
-// BenchmarkCompiledCorpus measures the compiled backend on every corpus
-// kernel with a register-program form (the reduction-only hist256 is
-// skipped): the chain lifted at 128x96 and run serially through
-// CompiledResult.EvalAt on its materialized input, reported per output
-// sample.  Each kernel is lifted once and its output checked against the
-// binary's before timing.
+// BenchmarkCompiledCorpus measures the compiled backend against the
+// checked-in generated kernel on every corpus kernel: the chain lifted at
+// 128x96 and run serially through CompiledResult.EvalAt, and the
+// generated kernel under its tuned schedule through EvalTunedInto, both
+// on the same materialized input and reported per output sample.  The
+// reduction-only hist256 has no register-program form, so only its
+// generated case runs.  Each kernel is lifted once and both outputs are
+// checked against the binary's before timing.
 func BenchmarkCompiledCorpus(b *testing.B) {
-	type compiledCase struct {
-		c          *lift.CompiledResult
+	type corpusCase struct {
+		c          *lift.CompiledResult // nil for reduction-only kernels
+		gk         *liftedkernels.Kernel
+		sc         liftedkernels.Scratch
 		src        ir.Source
+		img        *liftedkernels.Image
 		w, h, size int
 	}
 	for _, k := range legacy.Kernels() {
-		prep := sync.OnceValues(func() (*compiledCase, error) {
+		prep := sync.OnceValues(func() (*corpusCase, error) {
 			res, err := lift.Lift(k.Name, target(k.Instantiate(legacy.Config{Width: 128, Height: 96, Seed: 1})))
-			if err != nil || res.Kernel == nil {
-				return nil, err
-			}
-			c, err := res.Compile()
 			if err != nil {
 				return nil, err
 			}
-			cc := &compiledCase{c: c, src: res.MaterializeInput()}
-			cc.w, cc.h = res.EvalDims()
 			want, err := res.VMOutput()
 			if err != nil {
 				return nil, err
 			}
-			if got, err := c.EvalAt(cc.src, cc.w, cc.h); err != nil || !bytes.Equal(got, want) {
-				return nil, fmt.Errorf("compiled output differs from the binary's (err %v)", err)
+			cc := &corpusCase{src: res.MaterializeInput(), size: len(want)}
+			cc.w, cc.h = res.EvalDims()
+			if res.Kernel != nil {
+				if cc.c, err = res.Compile(); err != nil {
+					return nil, err
+				}
+				if got, err := cc.c.EvalAt(cc.src, cc.w, cc.h); err != nil || !bytes.Equal(got, want) {
+					return nil, fmt.Errorf("compiled output differs from the binary's (err %v)", err)
+				}
 			}
-			cc.size = len(want)
+			var ok bool
+			if cc.gk, ok = liftedkernels.Lookup(k.Name); !ok {
+				return nil, fmt.Errorf("%s is not in internal/liftedkernels", k.Name)
+			}
+			if cc.img, ok = genImage(cc.src); !ok {
+				return nil, fmt.Errorf("%s: input is not a flat image", k.Name)
+			}
+			if got, err := cc.gk.EvalTunedInto(&cc.sc, cc.img, cc.w, cc.h); err != nil || !bytes.Equal(got, want) {
+				return nil, fmt.Errorf("generated output differs from the binary's (err %v)", err)
+			}
 			return cc, nil
 		})
 		b.Run(k.Name, func(b *testing.B) {
@@ -498,17 +514,27 @@ func BenchmarkCompiledCorpus(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if cc == nil {
-				b.Skip("reduction-only kernel: no register-program form")
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := cc.c.EvalAt(cc.src, cc.w, cc.h); err != nil {
-					b.Fatal(err)
+			b.Run("compiled", func(b *testing.B) {
+				if cc.c == nil {
+					b.Skip("reduction-only kernel: no register-program form")
 				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cc.size), "ns/sample")
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := cc.c.EvalAt(cc.src, cc.w, cc.h); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cc.size), "ns/sample")
+			})
+			b.Run("generated", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := cc.gk.EvalTunedInto(&cc.sc, cc.img, cc.w, cc.h); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cc.size), "ns/sample")
+			})
 		})
 	}
 }

@@ -154,28 +154,30 @@ func (m *Machine) writeOperand(inst isa.Inst, o isa.Operand, v uint64, rec *step
 	return trace.Ref{}, m.faultf("cannot write operand kind %d", o.Kind)
 }
 
-// setFlagsArith updates flags after an addition or subtraction of two
-// values of the given width.  sub selects subtraction semantics.
-func (m *Machine) setFlagsArith(a, b, result uint64, width int, sub bool, keepCF bool) {
-	r := maskWidth(result, width)
-	m.flag.zf = r == 0
+// setFlagsArith updates flags after an addition a + b + carry or a
+// subtraction a - b - carry of values of the given width; carry is the
+// incoming CF (0 or 1) of adc/sbb and 0 otherwise.  sub selects
+// subtraction semantics.  CF and OF are derived from the operands and
+// the carry separately, never from b+carry, which can itself wrap.
+func (m *Machine) setFlagsArith(a, b, carry, result uint64, width int, sub bool, keepCF bool) {
 	signBit := uint64(1) << (uint(width)*8 - 1)
+	a, b, r := maskWidth(a, width), maskWidth(b, width), maskWidth(result, width)
+	m.flag.zf = r == 0
 	m.flag.sf = r&signBit != 0
 	if !keepCF {
+		// With a carry in, a sum that lands back on a has wrapped, and a
+		// difference of equal operands borrows.
 		if sub {
-			m.flag.cf = maskWidth(a, width) < maskWidth(b, width)
+			m.flag.cf = a < b || (carry != 0 && a == b)
 		} else {
-			m.flag.cf = r < maskWidth(a, width) || r < maskWidth(b, width)
+			m.flag.cf = r < a || (carry != 0 && r == a)
 		}
 	}
-	sa, sb := signExtend(a, width), signExtend(b, width)
-	var full int64
 	if sub {
-		full = sa - sb
+		m.flag.of = (a^b)&(a^r)&signBit != 0
 	} else {
-		full = sa + sb
+		m.flag.of = (a^r)&(b^r)&signBit != 0
 	}
-	m.flag.of = full != signExtend(r, width)
 }
 
 // setFlagsLogic updates flags after a bitwise operation.
@@ -373,7 +375,7 @@ func (m *Machine) step(rec *stepRecord) error {
 			return err
 		}
 		w := in.Dst.OpWidth()
-		m.setFlagsArith(a, b, a-b, w, true, false)
+		m.setFlagsArith(a, b, 0, a-b, w, true, false)
 		rec.effect(m.flagsRef(), trace.OpCmp, aref, bref)
 
 	case isa.TEST:
@@ -529,19 +531,19 @@ func (m *Machine) execBinary(in isa.Inst, rec *stepRecord) error {
 	case isa.ADD:
 		res = a + b
 		op, srcs = trace.OpAdd, []trace.Ref{aref, bref}
-		m.setFlagsArith(a, b, res, w, false, false)
+		m.setFlagsArith(a, b, 0, res, w, false, false)
 	case isa.ADC:
 		res = a + b + carryIn
 		op, srcs = trace.OpAdd, []trace.Ref{aref, bref, flagsBefore}
-		m.setFlagsArith(a, b+carryIn, res, w, false, false)
+		m.setFlagsArith(a, b, carryIn, res, w, false, false)
 	case isa.SUB:
 		res = a - b
 		op, srcs = trace.OpSub, []trace.Ref{aref, bref}
-		m.setFlagsArith(a, b, res, w, true, false)
+		m.setFlagsArith(a, b, 0, res, w, true, false)
 	case isa.SBB:
 		res = a - b - carryIn
 		op, srcs = trace.OpSub, []trace.Ref{aref, bref, flagsBefore}
-		m.setFlagsArith(a, b+carryIn, res, w, true, false)
+		m.setFlagsArith(a, b, carryIn, res, w, true, false)
 	case isa.AND:
 		res = a & b
 		op, srcs = trace.OpAnd, []trace.Ref{aref, bref}
@@ -593,15 +595,15 @@ func (m *Machine) execUnary(in isa.Inst, rec *stepRecord) error {
 	case isa.NEG:
 		res = -a
 		op, srcs = trace.OpNeg, []trace.Ref{aref}
-		m.setFlagsArith(0, a, res, w, true, false)
+		m.setFlagsArith(0, a, 0, res, w, true, false)
 	case isa.INC:
 		res = a + 1
 		op, srcs = trace.OpAdd, []trace.Ref{aref, immRef(1)}
-		m.setFlagsArith(a, 1, res, w, false, true)
+		m.setFlagsArith(a, 1, 0, res, w, false, true)
 	case isa.DEC:
 		res = a - 1
 		op, srcs = trace.OpSub, []trace.Ref{aref, immRef(1)}
-		m.setFlagsArith(a, 1, res, w, true, true)
+		m.setFlagsArith(a, 1, 0, res, w, true, true)
 	}
 	res = maskWidth(res, w)
 	dst, err := m.writeOperand(in, in.Dst, res, rec)
@@ -651,7 +653,12 @@ func (m *Machine) execShift(in isa.Inst, rec *stepRecord) error {
 	return nil
 }
 
-// execMulDiv handles the one-operand EDX:EAX multiply and divide forms.
+// execMulDiv handles the one-operand multiply and divide forms.  MUL
+// writes the 64-bit product to EDX:EAX as on x86.  DIV deviates from x86:
+// the dividend is EAX alone, not EDX:EAX, so EDX's prior value is ignored
+// and the quotient cannot overflow; EAX gets the quotient, EDX the
+// remainder, and a zero divisor faults.  The corpus relies on this:
+// boxblur3 divides with a row pointer in EDX.
 func (m *Machine) execMulDiv(in isa.Inst, rec *stepRecord) error {
 	b, bref, err := m.operandValue(in, in.Dst, rec)
 	if err != nil {
