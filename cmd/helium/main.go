@@ -182,20 +182,6 @@ func target(inst *legacy.Instance) lift.Target {
 	}
 }
 
-// genImage maps a concrete evaluator source onto the generated package's
-// flat Image geometry.
-func genImage(src ir.Source) (*liftedkernels.Image, bool) {
-	switch s := src.(type) {
-	case ir.PlaneSource:
-		pix, base, stride := s.P.Flat()
-		return &liftedkernels.Image{Pix: pix, Base: base, Stride: stride, PixStep: 1}, true
-	case ir.InterleavedSource:
-		pix, base, stride, pixStep := s.Im.Flat()
-		return &liftedkernels.Image{Pix: pix, Base: base, Stride: stride, PixStep: pixStep, ChanStep: 1}, true
-	}
-	return nil, false
-}
-
 // evalGenerated renders a lifted result through the checked-in generated
 // package and verifies it against the legacy binary's own output.
 func evalGenerated(name string, res *lift.Result) (*liftedkernels.Kernel, []byte, error) {
@@ -203,12 +189,12 @@ func evalGenerated(name string, res *lift.Result) (*liftedkernels.Kernel, []byte
 	if !ok {
 		return nil, nil, fmt.Errorf("kernel %q is not in internal/liftedkernels (run `helium gen`)", name)
 	}
-	img, ok := genImage(res.MaterializeInput())
+	img, ok := lift.GenImage(res.MaterializeInput())
 	if !ok {
 		return nil, nil, fmt.Errorf("kernel %q input cannot be materialized as a flat image", name)
 	}
 	w, h := res.EvalDims()
-	out, err := gk.Eval(img, w, h)
+	out, err := gk.Eval(&img, w, h)
 	if err != nil {
 		return nil, nil, fmt.Errorf("generated eval: %w", err)
 	}

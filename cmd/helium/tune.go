@@ -123,7 +123,7 @@ func tuneKernel(k legacy.Kernel, cfg legacy.Config, smoke bool, maxWorkers int) 
 	if !ok {
 		return nil, fmt.Errorf("kernel %q is not in internal/liftedkernels (run `helium gen`)", k.Name)
 	}
-	img, ok := genImage(res.MaterializeInput())
+	img, ok := lift.GenImage(res.MaterializeInput())
 	if !ok {
 		return nil, fmt.Errorf("kernel %q input cannot be materialized as a flat image", k.Name)
 	}
@@ -137,7 +137,7 @@ func tuneKernel(k legacy.Kernel, cfg legacy.Config, smoke bool, maxWorkers int) 
 	// run evaluates one candidate and demands the VM's bytes.
 	run := func(cand *schedule.Schedule, spec liftedkernels.ScheduleSpec) func() error {
 		return func() error {
-			got, err := gk.EvalInto(sc, img, outW, outH, spec)
+			got, err := gk.EvalInto(sc, &img, outW, outH, spec)
 			if err != nil {
 				return fmt.Errorf("schedule %s: %w", cand, err)
 			}
@@ -179,7 +179,7 @@ func tuneKernel(k legacy.Kernel, cfg legacy.Config, smoke bool, maxWorkers int) 
 	// Fusion candidates only for pipelines the runtime streams: two or
 	// more stages its sliding-window validation accepts.
 	if len(gk.Stages) >= 2 {
-		if _, err := gk.EvalInto(sc, img, outW, outH, liftedkernels.ScheduleSpec{Workers: 1, Fusion: string(schedule.SlidingWindow)}); err == nil {
+		if _, err := gk.EvalInto(sc, &img, outW, outH, liftedkernels.ScheduleSpec{Workers: 1, Fusion: string(schedule.SlidingWindow)}); err == nil {
 			opts.Stages = len(gk.Stages)
 			// The smallest per-gap window — each consumer's recorded row
 			// footprint: candidates at or below it are minimal on every gap

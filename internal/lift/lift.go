@@ -11,6 +11,7 @@ import (
 	"helium/internal/faultpoint"
 	"helium/internal/image"
 	"helium/internal/ir"
+	"helium/internal/liftedkernels"
 	"helium/internal/trace"
 	"helium/internal/vm"
 )
@@ -638,6 +639,21 @@ func (r *Result) MaterializeInput() ir.Source {
 		}
 	}
 	return ir.PlaneSource{P: p}
+}
+
+// GenImage maps a concrete evaluator source, as MaterializeInput returns
+// it, onto the generated package's flat Image geometry.  It reports false
+// for sources with no flat backing, such as the dump-backed fallback.
+func GenImage(src ir.Source) (liftedkernels.Image, bool) {
+	switch s := src.(type) {
+	case ir.PlaneSource:
+		pix, base, stride := s.P.Flat()
+		return liftedkernels.Image{Pix: pix, Base: base, Stride: stride, PixStep: 1}, true
+	case ir.InterleavedSource:
+		pix, base, stride, pixStep := s.Im.Flat()
+		return liftedkernels.Image{Pix: pix, Base: base, Stride: stride, PixStep: pixStep, ChanStep: 1}, true
+	}
+	return liftedkernels.Image{}, false
 }
 
 // vmRegion reads the bytes the legacy binary left in a written region out

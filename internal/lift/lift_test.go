@@ -474,7 +474,7 @@ func BenchmarkCompiledCorpus(b *testing.B) {
 		gk         *liftedkernels.Kernel
 		sc         liftedkernels.Scratch
 		src        ir.Source
-		img        *liftedkernels.Image
+		img        liftedkernels.Image
 		w, h, size int
 	}
 	for _, k := range legacy.Kernels() {
@@ -501,10 +501,10 @@ func BenchmarkCompiledCorpus(b *testing.B) {
 			if cc.gk, ok = liftedkernels.Lookup(k.Name); !ok {
 				return nil, fmt.Errorf("%s is not in internal/liftedkernels", k.Name)
 			}
-			if cc.img, ok = genImage(cc.src); !ok {
+			if cc.img, ok = lift.GenImage(cc.src); !ok {
 				return nil, fmt.Errorf("%s: input is not a flat image", k.Name)
 			}
-			if got, err := cc.gk.EvalTunedInto(&cc.sc, cc.img, cc.w, cc.h); err != nil || !bytes.Equal(got, want) {
+			if got, err := cc.gk.EvalTunedInto(&cc.sc, &cc.img, cc.w, cc.h); err != nil || !bytes.Equal(got, want) {
 				return nil, fmt.Errorf("generated output differs from the binary's (err %v)", err)
 			}
 			return cc, nil
@@ -529,7 +529,7 @@ func BenchmarkCompiledCorpus(b *testing.B) {
 			b.Run("generated", func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := cc.gk.EvalTunedInto(&cc.sc, cc.img, cc.w, cc.h); err != nil {
+					if _, err := cc.gk.EvalTunedInto(&cc.sc, &cc.img, cc.w, cc.h); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"helium/internal/ir"
 	"helium/internal/legacy"
 	"helium/internal/lift"
 	"helium/internal/liftedkernels"
@@ -13,20 +12,6 @@ import (
 // Schedules run only on the generated runtime, so these tests lift each
 // kernel and execute the checked-in generated code for it under explicit
 // schedule specs, holding it to the legacy binary's own output.
-
-// genImage maps an evaluator source onto the generated package's flat
-// geometry, as cmd/helium does.
-func genImage(src ir.Source) (*liftedkernels.Image, bool) {
-	switch s := src.(type) {
-	case ir.PlaneSource:
-		pix, base, stride := s.P.Flat()
-		return &liftedkernels.Image{Pix: pix, Base: base, Stride: stride, PixStep: 1}, true
-	case ir.InterleavedSource:
-		pix, base, stride, pixStep := s.Im.Flat()
-		return &liftedkernels.Image{Pix: pix, Base: base, Stride: stride, PixStep: pixStep, ChanStep: 1}, true
-	}
-	return nil, false
-}
 
 // TestScheduledCorpusMatchesVM runs every corpus kernel under a spread of
 // schedules — materialize with explicit tiles and worker counts, and (for
@@ -49,7 +34,7 @@ func TestScheduledCorpusMatchesVM(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: not in the generated registry (run `helium gen`)", k.Name)
 		}
-		img, ok := genImage(res.MaterializeInput())
+		img, ok := lift.GenImage(res.MaterializeInput())
 		if !ok {
 			t.Fatalf("%s: input cannot be materialized", k.Name)
 		}
@@ -78,7 +63,7 @@ func TestScheduledCorpusMatchesVM(t *testing.T) {
 		}
 		w, h := res.EvalDims()
 		for _, spec := range specs {
-			got, err := gk.EvalSched(img, w, h, spec)
+			got, err := gk.EvalSched(&img, w, h, spec)
 			if err != nil {
 				t.Errorf("%s: schedule %+v: %v", k.Name, spec, err)
 				continue
@@ -102,15 +87,15 @@ func TestScheduleValidationSurfacesInEval(t *testing.T) {
 	if !ok {
 		t.Fatal("boxblur3 not in the generated registry")
 	}
-	img, ok := genImage(res.MaterializeInput())
+	img, ok := lift.GenImage(res.MaterializeInput())
 	if !ok {
 		t.Fatal("boxblur3 input cannot be materialized")
 	}
 	w, h := res.EvalDims()
-	if _, err := gk.EvalSched(img, w, h, liftedkernels.ScheduleSpec{Fusion: "bogus"}); err == nil {
+	if _, err := gk.EvalSched(&img, w, h, liftedkernels.ScheduleSpec{Fusion: "bogus"}); err == nil {
 		t.Fatal("bogus fusion strategy must be rejected")
 	}
-	if _, err := gk.EvalSched(img, w, h, liftedkernels.ScheduleSpec{Fusion: "slidingWindow"}); err == nil {
+	if _, err := gk.EvalSched(&img, w, h, liftedkernels.ScheduleSpec{Fusion: "slidingWindow"}); err == nil {
 		t.Fatal("sliding-window on a single-stage kernel must be rejected")
 	}
 }

@@ -29,12 +29,12 @@ func liftInput(t *testing.T, k legacy.Kernel, cfg legacy.Config) (*liftedkernels
 	if err != nil {
 		t.Fatalf("%s: lift: %v", k.Name, err)
 	}
-	img, ok := genImage(res.MaterializeInput())
+	img, ok := lift.GenImage(res.MaterializeInput())
 	if !ok {
 		t.Fatalf("%s: input cannot be materialized as a flat image", k.Name)
 	}
 	w, h := res.EvalDims()
-	return img, w, h
+	return &img, w, h
 }
 
 // TestEvalIntoSteadyStateAllocFree drives every corpus kernel through

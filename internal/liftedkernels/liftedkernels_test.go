@@ -7,25 +7,10 @@ import (
 	"fmt"
 	"testing"
 
-	"helium/internal/ir"
 	"helium/internal/legacy"
 	"helium/internal/lift"
 	"helium/internal/liftedkernels"
 )
-
-// genImage mirrors cmd/helium's mapping from evaluator sources onto the
-// generated package's flat geometry.
-func genImage(src ir.Source) (*liftedkernels.Image, bool) {
-	switch s := src.(type) {
-	case ir.PlaneSource:
-		pix, base, stride := s.P.Flat()
-		return &liftedkernels.Image{Pix: pix, Base: base, Stride: stride, PixStep: 1}, true
-	case ir.InterleavedSource:
-		pix, base, stride, pixStep := s.Im.Flat()
-		return &liftedkernels.Image{Pix: pix, Base: base, Stride: stride, PixStep: pixStep, ChanStep: 1}, true
-	}
-	return nil, false
-}
 
 // TestGeneratedKernelsMatchVM lifts the corpus at a geometry and seed
 // different from the one the package was generated at, and demands the
@@ -54,12 +39,12 @@ func TestGeneratedKernelsMatchVM(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: not in the generated registry (run `helium gen`)", k.Name)
 		}
-		img, ok := genImage(res.MaterializeInput())
+		img, ok := lift.GenImage(res.MaterializeInput())
 		if !ok {
 			t.Fatalf("%s: input cannot be materialized as a flat image", k.Name)
 		}
 		w, h := res.EvalDims()
-		got, err := gk.Eval(img, w, h)
+		got, err := gk.Eval(&img, w, h)
 		if err != nil {
 			t.Fatalf("%s: generated eval: %v", k.Name, err)
 		}
@@ -108,12 +93,12 @@ func TestGeneratedHonorsScheduleSpec(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: not in the generated registry", k.Name)
 		}
-		img, ok := genImage(res.MaterializeInput())
+		img, ok := lift.GenImage(res.MaterializeInput())
 		if !ok {
 			t.Fatalf("%s: input cannot be materialized", k.Name)
 		}
 		w, h := res.EvalDims()
-		want, err := gk.Eval(img, w, h)
+		want, err := gk.Eval(&img, w, h)
 		if err != nil {
 			t.Fatalf("%s: reference eval: %v", k.Name, err)
 		}
@@ -129,7 +114,7 @@ func TestGeneratedHonorsScheduleSpec(t *testing.T) {
 			)
 		}
 		for _, spec := range specs {
-			got, err := gk.EvalSched(img, w, h, spec)
+			got, err := gk.EvalSched(&img, w, h, spec)
 			if err != nil {
 				t.Errorf("%s: EvalSched(%+v): %v", k.Name, spec, err)
 				continue
@@ -138,7 +123,7 @@ func TestGeneratedHonorsScheduleSpec(t *testing.T) {
 				t.Errorf("%s: EvalSched(%+v) differs from Eval", k.Name, spec)
 			}
 		}
-		got, err := gk.EvalTuned(img, w, h)
+		got, err := gk.EvalTuned(&img, w, h)
 		if err != nil {
 			t.Errorf("%s: EvalTuned: %v", k.Name, err)
 		} else if !bytes.Equal(got, want) {
@@ -190,12 +175,12 @@ func TestBlur2pFusedBitExactAndSmall(t *testing.T) {
 		t.Errorf("blur2p vertical pass has a 3-row footprint; ring = %d rows", ring)
 	}
 
-	img, ok := genImage(res.MaterializeInput())
+	img, ok := lift.GenImage(res.MaterializeInput())
 	if !ok {
 		t.Fatal("blur2p input cannot be materialized")
 	}
 	w, h := res.EvalDims()
-	want, err := gk.Eval(img, w, h) // materializing baseline
+	want, err := gk.Eval(&img, w, h) // materializing baseline
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +197,7 @@ func TestBlur2pFusedBitExactAndSmall(t *testing.T) {
 		{Fusion: "slidingWindow", Workers: 4},
 		{Fusion: "slidingWindow", Workers: 4, WindowRows: 6},
 	} {
-		got, err := gk.EvalSched(img, w, h, spec)
+		got, err := gk.EvalSched(&img, w, h, spec)
 		if err != nil {
 			t.Fatalf("%+v: %v", spec, err)
 		}

@@ -11,6 +11,7 @@ import (
 	"helium/internal/image"
 	"helium/internal/ir"
 	"helium/internal/legacy"
+	"helium/internal/lift"
 	"helium/internal/liftedkernels"
 )
 
@@ -302,19 +303,17 @@ func (e *entry) buildInput(rs *reqScratch, req *request) error {
 		}
 		rs.plane.SetInterior(data)
 		rs.plane.PadEdges()
-		pix, base, stride := rs.plane.Flat()
-		rs.img = liftedkernels.Image{Pix: pix, Base: base, Stride: stride, PixStep: 1}
-		return nil
+	} else {
+		if rs.inter == nil || rs.inter.Width != iw || rs.inter.Height != ih || rs.inter.Channels != e.channels {
+			rs.inter = image.NewInterleaved(iw, ih, e.channels)
+			rs.src = ir.InterleavedSource{Im: rs.inter}
+		}
+		rowBytes := iw * e.channels
+		for y := 0; y < ih; y++ {
+			copy(rs.inter.Pix[y*rs.inter.Stride:], data[y*rowBytes:(y+1)*rowBytes])
+		}
 	}
-	if rs.inter == nil || rs.inter.Width != iw || rs.inter.Height != ih || rs.inter.Channels != e.channels {
-		rs.inter = image.NewInterleaved(iw, ih, e.channels)
-		rs.src = ir.InterleavedSource{Im: rs.inter}
-	}
-	rowBytes := iw * e.channels
-	for y := 0; y < ih; y++ {
-		copy(rs.inter.Pix[y*rs.inter.Stride:], data[y*rowBytes:(y+1)*rowBytes])
-	}
-	pix, base, stride, pixStep := rs.inter.Flat()
-	rs.img = liftedkernels.Image{Pix: pix, Base: base, Stride: stride, PixStep: pixStep, ChanStep: 1}
+	// rs.src is a plane or interleaved backing, both of which map.
+	rs.img, _ = lift.GenImage(rs.src)
 	return nil
 }
