@@ -143,10 +143,6 @@ func extractTrees(tr *trace.InstTrace, prog *isa.Program, bufs *Buffers, workers
 	total := out.Rows * out.RowBytes
 	trees := make([]SampleTree, total)
 
-	// The write index builds lazily on first use; force it here so the
-	// workers only ever read the trace (the tracer usually built it
-	// already, in which case this is free).
-	tr.EnsureWriteIndex()
 	outWrites := outputWrites(tr, out)
 
 	// One sample per chunk: a single backward slice is heavy enough that
@@ -209,7 +205,7 @@ func outputWrites(tr *trace.InstTrace, out OutputDesc) []int {
 // the data-dependent branch guards of its dynamic window.
 func (ex *extractor) sample(x, y, c int) (*ir.Expr, []Guard, error) {
 	addr := ex.bufs.Out.Addr(x, y, c)
-	seq, ok := ex.tr.LastWriteBefore(ex.tr.Len(), addr, 1)
+	seq, ok := ex.tr.FinalWriter(addr, 1)
 	if !ok {
 		return nil, nil, fmt.Errorf("no trace write to %#x", addr)
 	}
@@ -317,10 +313,13 @@ func guardIndex(guards []Guard, key string) int {
 // the flags-producing compare and maps the condition code onto the IR's
 // comparison operators.
 func (ex *extractor) condExpr(seq int, cc isa.Opcode) (*ir.Expr, error) {
-	w, ok := ex.tr.LastWriteBefore(seq, trace.FlagsAddr, 1)
-	if !ok {
+	// The producer is the flags source's definition: every flags write
+	// covers all of the flags bytes, so it is the last writer of each.
+	def := flagsDef(ex.tr.At(seq))
+	if def == 0 {
 		return nil, fmt.Errorf("%v at seq %d has no flags producer in the trace", cc, seq)
 	}
+	w := int(def) - 1
 	pdi := ex.tr.At(w)
 	ef := findEffect(pdi, trace.FlagsAddr, 1)
 	if ef == nil {
@@ -376,6 +375,19 @@ func (ex *extractor) condExpr(seq int, cc isa.Opcode) (*ir.Expr, error) {
 		return nil, fmt.Errorf("%v at %#x consumes flags of %v at %#x, which has no reconstructible value; the nearest liftable pattern compares with cmp or test",
 			cc, ex.tr.At(seq).Addr, pdi.Op, pdi.Addr)
 	}
+}
+
+// flagsDef returns the Def of the flags a record reads, or 0 when it
+// reads no flags or no earlier record wrote them.
+func flagsDef(di *trace.DynInst) int32 {
+	for _, ef := range di.Effects {
+		for _, src := range ef.Srcs {
+			if src.Space == trace.SpaceFlags {
+				return src.Def
+			}
+		}
+	}
+	return 0
 }
 
 // predAfterCmp maps a condition code evaluated after cmp(a, b) onto the
@@ -475,7 +487,8 @@ func (ex *extractor) refExpr(seq int, ref trace.Ref) (*ir.Expr, error) {
 	}
 
 	// A previous traced write defines the value: slice through it.
-	if w, ok := ex.tr.LastWriteBefore(seq, ref.Addr, ref.Width); ok {
+	if ref.Def > 0 {
+		w := int(ref.Def) - 1
 		key := memoKey{writeSeq: w, addr: ref.Addr, width: ref.Width}
 		if e, hit := ex.memo[key]; hit {
 			return e, nil

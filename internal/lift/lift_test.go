@@ -582,9 +582,69 @@ func BenchmarkLiftSharpen(b *testing.B) {
 	}
 }
 
+// TestCorpusTraceDefs checks every Def link of the nine corpus traces at
+// the benchmark-of-record geometry against a reference replay: a plain
+// byte-to-writer map updated after each record, so each source and
+// address ref must name the latest earlier writer of any of its bytes.
+// FinalWriter must then agree with the map on every written byte.
+func TestCorpusTraceDefs(t *testing.T) {
+	for _, k := range legacy.Kernels() {
+		tgt := target(k.Instantiate(legacy.Config{Width: 64, Height: 48, Seed: 1}))
+		loc, err := lift.Localize(tgt)
+		if err != nil {
+			t.Fatalf("%s: %v", k.Name, err)
+		}
+		m := vm.NewMachine(tgt.Prog)
+		tgt.Setup(m, true)
+		res, err := m.RunTrace(vm.TraceOptions{FilterEntry: loc.FilterEntry})
+		if err != nil {
+			t.Fatalf("%s: %v", k.Name, err)
+		}
+		tr := res.Trace
+		writer := map[uint64]int32{}
+		refs := 0
+		check := func(seq int, r trace.Ref) {
+			var want int32
+			if r.Space != trace.SpaceImm && r.Space != trace.SpaceNone {
+				for b := uint64(0); b < uint64(r.Width); b++ {
+					want = max(want, writer[r.Addr+b])
+				}
+			}
+			if r.Def != want {
+				t.Fatalf("%s: record %d ref %v: Def = %d, want %d", k.Name, seq, r, r.Def, want)
+			}
+			refs++
+		}
+		for seq := 0; seq < tr.Len(); seq++ {
+			di := tr.At(seq)
+			for _, r := range di.AddrRefs {
+				check(seq, r)
+			}
+			for _, ef := range di.Effects {
+				for _, r := range ef.Srcs {
+					check(seq, r)
+				}
+			}
+			for _, ef := range di.Effects {
+				if d := ef.Dst; d.Space != trace.SpaceImm && d.Space != trace.SpaceNone {
+					for b := uint64(0); b < uint64(d.Width); b++ {
+						writer[d.Addr+b] = int32(seq) + 1
+					}
+				}
+			}
+		}
+		for a, def := range writer {
+			if w, ok := tr.FinalWriter(a, 1); !ok || w != int(def)-1 {
+				t.Fatalf("%s: FinalWriter(%#x, 1) = (%d,%v), want (%d,true)", k.Name, a, w, ok, def-1)
+			}
+		}
+		t.Logf("%s: %d records, %d refs linked", k.Name, tr.Len(), refs)
+	}
+}
+
 // BenchmarkTraceSharpen measures the instruction trace capture of the
 // sharpen filter at the benchmark-of-record geometry: the traced VM run
-// and the write index RunTrace builds over it.
+// and the def links the trace resolves as each record arrives.
 func BenchmarkTraceSharpen(b *testing.B) {
 	k, _ := legacy.Lookup("sharpen")
 	inst := k.Instantiate(legacy.Config{Width: 64, Height: 48, Seed: 1})

@@ -10,7 +10,6 @@ package trace
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
 	"helium/internal/isa"
@@ -64,6 +63,14 @@ type Ref struct {
 	Width uint8
 	// Float marks references to floating point data.
 	Float bool
+	// Def links a source or address reference to the value's definition:
+	// one more than the sequence number of the last record before this
+	// one that wrote any byte of the range, or 0 when no earlier record
+	// did.  InstTrace.Emit fills it in its own copy; the tracer leaves it
+	// zero.  When several bytes were last written by different records
+	// the latest of them is named, and the backward analysis discovers
+	// the partial overlap while matching widths.
+	Def int32
 }
 
 // FVal decodes the floating point value of a float reference from its bits.
@@ -240,17 +247,17 @@ const (
 	arenaChunk = 1 << 13
 )
 
-// InstTrace is a captured instruction trace together with the write index
-// needed by the backward analysis.  Records are addressed by sequence
-// number through At; the trace owns deep copies of everything emitted.
+// InstTrace is a captured instruction trace with every operand linked to
+// its definition.  Records are addressed by sequence number through At;
+// the trace owns deep copies of everything emitted.
 type InstTrace struct {
 	chunks  [][]DynInst
 	n       int
 	effects arena[Effect]
 	refs    arena[Ref]
 
-	// idx is the write index; nil until built and after every Emit.
-	idx *writeIndex
+	// last holds the def of every written byte's latest writer so far.
+	last shadow
 }
 
 // arena hands out capped sub-slices of large shared chunks, so storing a
@@ -290,166 +297,171 @@ func (t *InstTrace) at(seq int) *DynInst {
 }
 
 // Emit appends a deep copy of a record, making InstTrace the
-// batch-collecting Sink.  The write index is invalidated; call
-// BuildWriteIndex again after the trace is complete.
+// batch-collecting Sink.  The copy's source and address refs get their Def
+// links, resolved before the record's own writes are applied, so a ref
+// that the same record also writes (push and pop's ESP, add [m], r) links
+// to the previous writer.  The record is stored at sequence number Len().
 func (t *InstTrace) Emit(di DynInst) error {
+	if t.n == math.MaxInt32 {
+		return fmt.Errorf("trace: more than %d records", math.MaxInt32)
+	}
 	if t.n&(chunkSize-1) == 0 {
 		t.chunks = append(t.chunks, make([]DynInst, chunkSize))
 	}
 	effects := t.effects.copyOf(di.Effects)
 	for i := range effects {
-		effects[i].Srcs = t.refs.copyOf(effects[i].Srcs)
+		srcs := t.refs.copyOf(effects[i].Srcs)
+		t.link(srcs)
+		effects[i].Srcs = srcs
 	}
 	di.Effects = effects
 	di.AddrRefs = t.refs.copyOf(di.AddrRefs)
+	t.link(di.AddrRefs)
+	def := int32(t.n + 1)
+	for i := range effects {
+		if d := &effects[i].Dst; d.Space != SpaceImm && d.Space != SpaceNone {
+			t.last.set(d.Addr, d.Width, def)
+		}
+	}
 	*t.at(t.n) = di
 	t.n++
-	t.idx = nil
 	return nil
 }
 
-// BuildWriteIndex constructs the per-byte write index used by
-// LastWriteBefore.  It must be called once after the trace is
-// complete.
-func (t *InstTrace) BuildWriteIndex() {
-	t.idx = buildWriteIndex(t)
-}
-
-// EnsureWriteIndex builds the write index only if it has not been built
-// since the last Emit.  Call it before sharing the trace across
-// goroutines: the index itself is read-only once built, but the lazy
-// first build is not.
-func (t *InstTrace) EnsureWriteIndex() {
-	if t.idx == nil {
-		t.BuildWriteIndex()
+// link sets the Def of every located ref to its latest writer so far.
+func (t *InstTrace) link(refs []Ref) {
+	for i := range refs {
+		if r := &refs[i]; r.Space != SpaceImm && r.Space != SpaceNone {
+			r.Def = t.last.get(r.Addr, r.Width)
+		}
 	}
 }
 
-// LastWriteBefore returns the sequence number of the most recent instruction
-// before seq that wrote any byte in [addr, addr+width), and whether one
-// exists.  When several bytes were last written by different instructions
-// the latest of them is returned; the backward analysis then discovers the
-// partial overlap while matching widths.
-func (t *InstTrace) LastWriteBefore(seq int, addr uint64, width uint8) (int, bool) {
-	t.EnsureWriteIndex()
-	best := -1
-	for b := uint64(0); b < uint64(width); b++ {
-		best = max(best, t.idx.lastBefore(seq, addr+b))
-	}
-	if best < 0 {
-		return 0, false
-	}
-	return best, true
+// FinalWriter returns the sequence number of the last record in the trace
+// that wrote any byte in [addr, addr+width), and whether one exists; the
+// latest writer wins when several wrote parts of the range.  It only reads
+// the trace, so a finished trace may be queried from many goroutines.
+func (t *InstTrace) FinalWriter(addr uint64, width uint8) (int, bool) {
+	def := t.last.get(addr, width)
+	return int(def) - 1, def > 0
 }
 
 // regSlots is the number of unified addresses from RegSpaceBase up to and
-// including the flags register, the register part of the write index.
+// including the flags register.
 const regSlots = FlagsAddr - RegSpaceBase + 8
 
-// writeIndex maps every written byte of the unified address space to the
-// ordered sequence numbers that wrote it.
+// Shadow memory geometry: a 32-bit memory address splits into a top index,
+// a middle index and an offset into a page of defs.
+const (
+	shadowPageBits = 12
+	shadowMidBits  = 10
+	shadowTopBits  = 32 - shadowMidBits - shadowPageBits
+)
+
+type (
+	shadowPage [1 << shadowPageBits]int32
+	shadowMid  [1 << shadowMidBits]*shadowPage
+)
+
+// shadow maps every byte of the unified address space to the def (sequence
+// number plus one) of the last record that wrote it, 0 for never.
 //
 //   - Register and flags bytes, a few hundred addresses rewritten by nearly
-//     every instruction, use a fixed table: the writers of slot k are
-//     regSeqs[regStart[k]:regStart[k+1]].
-//   - Memory bytes use one sorted array of addr<<32|seq keys, so the
-//     writers of an address are a contiguous run found by binary search
-//     however often it was rewritten (stack slots are rewritten hundreds of
-//     thousands of times).
-//   - Any other address (only reachable from hand-built traces) falls back
-//     to a map.
-//
-// Sequence numbers are stored in 32 bits; a trace is far smaller than that.
-type writeIndex struct {
-	regStart []int32
-	regSeqs  []int32
-	mem      []uint64
-	other    map[uint64][]int
+//     every instruction, use a fixed table.
+//   - 32-bit memory uses a three-level radix table whose pages are
+//     allocated on first write, so a lookup is three indexed loads.
+//   - Any other address (only reachable from hand-built traces) uses a
+//     map.
+type shadow struct {
+	reg   [regSlots]int32
+	mem   [1 << shadowTopBits]*shadowMid
+	other map[uint64]int32
 }
 
-// forEachWrittenByte calls fn for every byte every effect of the trace
-// wrote, in trace order.
-func forEachWrittenByte(t *InstTrace, fn func(a uint64, seq int)) {
-	for s := 0; s < t.n; s++ {
-		di := t.at(s)
-		for e := range di.Effects {
-			d := &di.Effects[e].Dst
-			if d.Space == SpaceImm || d.Space == SpaceNone {
-				continue
-			}
-			for a := d.Addr; a < d.Addr+uint64(d.Width); a++ {
-				fn(a, di.Seq)
-			}
-		}
+// memPage returns the page holding memory address a, or nil when no byte of
+// it was written.
+func (s *shadow) memPage(a uint64) *shadowPage {
+	mid := s.mem[a>>(shadowMidBits+shadowPageBits)]
+	if mid == nil {
+		return nil
 	}
+	return mid[a>>shadowPageBits&(1<<shadowMidBits-1)]
 }
 
-func buildWriteIndex(t *InstTrace) *writeIndex {
-	idx := &writeIndex{regStart: make([]int32, regSlots+1)}
-	nMem := 0
-	// Pass 1 sizes the register table and the memory keys.
-	forEachWrittenByte(t, func(a uint64, seq int) {
+// get returns the latest def over the width bytes starting at addr.  It
+// walks the range in runs that share one table (register slots, a memory
+// page, or a single other address); byte addresses wrap as uint64
+// arithmetic does.
+func (s *shadow) get(addr uint64, width uint8) int32 {
+	var best int32
+	for a, n := addr, uint64(width); n > 0; {
+		run := runLen(a, n)
 		switch {
 		case a-RegSpaceBase < regSlots:
-			idx.regStart[a-RegSpaceBase+1]++
+			best = latest(best, s.reg[a-RegSpaceBase:][:run])
 		case a < RegSpaceBase:
-			nMem++
+			if pg := s.memPage(a); pg != nil {
+				best = latest(best, pg[a&(1<<shadowPageBits-1):][:run])
+			}
 		default:
-			if idx.other == nil {
-				idx.other = make(map[uint64][]int)
-			}
-			idx.other[a] = append(idx.other[a], seq)
+			best = max(best, s.other[a])
 		}
-	})
-	for k := 1; k < len(idx.regStart); k++ {
-		idx.regStart[k] += idx.regStart[k-1]
+		a, n = a+run, n-run
 	}
-	idx.regSeqs = make([]int32, idx.regStart[regSlots])
-	mem := make([]uint64, 0, nMem)
-	fill := append([]int32(nil), idx.regStart[:regSlots]...)
-	// Pass 2 fills them, still in trace order.
-	forEachWrittenByte(t, func(a uint64, seq int) {
-		switch {
-		case a-RegSpaceBase < regSlots:
-			k := a - RegSpaceBase
-			idx.regSeqs[fill[k]] = int32(seq)
-			fill[k]++
-		case a < RegSpaceBase:
-			mem = append(mem, a<<32|uint64(seq))
-		}
-	})
-	// Keys are addr<<32|seq, so sorting them orders by address and keeps
-	// trace order within an address.
-	slices.Sort(mem)
-	idx.mem = mem
-	return idx
+	return best
 }
 
-// lastBefore returns the last writer of byte a strictly before seq, or -1.
-func (idx *writeIndex) lastBefore(seq int, a uint64) int {
-	if seq <= 0 {
-		return -1
+// set records def as the last writer of the width bytes starting at addr.
+func (s *shadow) set(addr uint64, width uint8, def int32) {
+	for a, n := addr, uint64(width); n > 0; {
+		run := runLen(a, n)
+		switch {
+		case a-RegSpaceBase < regSlots:
+			fill(s.reg[a-RegSpaceBase:][:run], def)
+		case a < RegSpaceBase:
+			mid := &s.mem[a>>(shadowMidBits+shadowPageBits)]
+			if *mid == nil {
+				*mid = new(shadowMid)
+			}
+			pg := &(*mid)[a>>shadowPageBits&(1<<shadowMidBits-1)]
+			if *pg == nil {
+				*pg = new(shadowPage)
+			}
+			fill((*pg)[a&(1<<shadowPageBits-1):][:run], def)
+		default:
+			if s.other == nil {
+				s.other = make(map[uint64]int32)
+			}
+			s.other[a] = def
+		}
+		a, n = a+run, n-run
 	}
+}
+
+// runLen returns how many of the n bytes starting at a share a's table:
+// the rest of the register slots, the rest of a's memory page, or the one
+// other address.
+func runLen(a, n uint64) uint64 {
 	switch {
 	case a-RegSpaceBase < regSlots:
-		k := a - RegSpaceBase
-		ws := idx.regSeqs[idx.regStart[k]:idx.regStart[k+1]]
-		i, _ := slices.BinarySearch(ws, int32(min(seq, math.MaxInt32)))
-		if i > 0 {
-			return int(ws[i-1])
-		}
+		return min(n, regSlots-(a-RegSpaceBase))
 	case a < RegSpaceBase:
-		i, _ := slices.BinarySearch(idx.mem, a<<32|uint64(min(seq, math.MaxUint32)))
-		if i > 0 && idx.mem[i-1]>>32 == a {
-			return int(uint32(idx.mem[i-1]))
-		}
-	default:
-		ws := idx.other[a]
-		if i := sort.SearchInts(ws, seq); i > 0 {
-			return ws[i-1]
-		}
+		return min(n, 1<<shadowPageBits-a&(1<<shadowPageBits-1))
 	}
-	return -1
+	return 1
+}
+
+func latest(best int32, defs []int32) int32 {
+	for _, d := range defs {
+		best = max(best, d)
+	}
+	return best
+}
+
+func fill(defs []int32, def int32) {
+	for i := range defs {
+		defs[i] = def
+	}
 }
 
 // MemDump is a page-granularity dump of the memory touched by candidate

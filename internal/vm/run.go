@@ -262,15 +262,14 @@ func (m *Machine) RunTraceStream(opts TraceOptions, sink trace.Sink) (*StreamRes
 }
 
 // RunTrace is the batch form of RunTraceStream: it collects the streamed
-// records into an InstTrace with its write index built, ready for the
-// backward analysis.
+// records into an InstTrace, whose operands are linked to their
+// definitions as they arrive, ready for the backward analysis.
 func (m *Machine) RunTrace(opts TraceOptions) (*TraceResult, error) {
 	t := &trace.InstTrace{}
 	sr, err := m.RunTraceStream(opts, t)
 	if err != nil {
 		return nil, err
 	}
-	t.BuildWriteIndex()
 	return &TraceResult{
 		Trace:       t,
 		Dump:        sr.Dump,
