@@ -482,15 +482,54 @@ type Program struct {
 	Data []Segment
 
 	index map[uint32]int
+	// succ holds each instruction's successors as instruction indices,
+	// resolved through index.
+	succ []Succ
 }
 
-// BuildIndex (re)builds the address-to-instruction index.  It must be called
-// after the instruction slice is modified.
+// Succ is an instruction's control-flow successors as indices into
+// Program.Insts, -1 where no instruction sits at the address.
+type Succ struct {
+	// Next is the instruction at the following instruction's address: the
+	// fall-through in layout order.  It is -1 for the last instruction.
+	Next int32
+	// Target is the instruction at the branch or call target.
+	Target int32
+}
+
+// BuildIndex (re)builds the address-to-instruction index and the resolved
+// successors.  It must be called after the instruction slice is modified.
 func (p *Program) BuildIndex() {
 	p.index = make(map[uint32]int, len(p.Insts))
 	for i, in := range p.Insts {
 		p.index[in.Addr] = i
 	}
+	p.succ = make([]Succ, len(p.Insts))
+	for i, in := range p.Insts {
+		s := Succ{Next: -1, Target: p.indexOf(in.Target)}
+		if i+1 < len(p.Insts) {
+			s.Next = p.indexOf(p.Insts[i+1].Addr)
+		}
+		p.succ[i] = s
+	}
+}
+
+// indexOf returns the index of the instruction at addr, or -1.
+func (p *Program) indexOf(addr uint32) int32 {
+	if i, ok := p.index[addr]; ok {
+		return int32(i)
+	}
+	return -1
+}
+
+// Successors returns the resolved successors of the instruction at index
+// i, so an emulator steps without an address lookup except for dynamic
+// targets (ret).
+func (p *Program) Successors(i int) Succ {
+	if p.index == nil {
+		p.BuildIndex()
+	}
+	return p.succ[i]
 }
 
 // Lookup returns the index of the instruction at addr and whether it exists.

@@ -103,7 +103,7 @@ func signExtend(v uint64, width int) int64 {
 
 // operandValue reads an operand, returning its value, the Ref describing
 // it, and memory metadata when the operand is a memory reference.
-func (m *Machine) operandValue(inst isa.Inst, o isa.Operand, rec *stepRecord) (uint64, trace.Ref, error) {
+func (m *Machine) operandValue(inst *isa.Inst, o *isa.Operand, rec *stepRecord) (uint64, trace.Ref, error) {
 	switch o.Kind {
 	case isa.KindReg:
 		return m.readReg(o.Reg), m.regRef(o.Reg), nil
@@ -120,7 +120,7 @@ func (m *Machine) operandValue(inst isa.Inst, o isa.Operand, rec *stepRecord) (u
 
 // operandFloat reads a floating point memory operand (width 4 or 8) or an
 // integer memory operand for FILD.
-func (m *Machine) operandFloat(inst isa.Inst, o isa.Operand, rec *stepRecord) (float64, trace.Ref, error) {
+func (m *Machine) operandFloat(inst *isa.Inst, o *isa.Operand, rec *stepRecord) (float64, trace.Ref, error) {
 	if o.Kind != isa.KindMem {
 		return 0, trace.Ref{}, m.faultf("float operand must be memory")
 	}
@@ -138,7 +138,7 @@ func (m *Machine) operandFloat(inst isa.Inst, o isa.Operand, rec *stepRecord) (f
 
 // writeOperand writes v to a register or memory destination and returns the
 // Ref describing the write.
-func (m *Machine) writeOperand(inst isa.Inst, o isa.Operand, v uint64, rec *stepRecord) (trace.Ref, error) {
+func (m *Machine) writeOperand(inst *isa.Inst, o *isa.Operand, v uint64, rec *stepRecord) (trace.Ref, error) {
 	switch o.Kind {
 	case isa.KindReg:
 		m.writeReg(o.Reg, maskWidth(v, o.Reg.Width()))
@@ -228,11 +228,11 @@ func (m *Machine) step(rec *stepRecord) error {
 	if m.halted {
 		return m.faultf("machine is halted")
 	}
-	idx, ok := m.Prog.Lookup(m.eip)
-	if !ok {
+	idx := m.pc
+	if idx < 0 {
 		return m.faultf("no instruction at eip")
 	}
-	in := m.Prog.Insts[idx]
+	in := &m.Prog.Insts[idx]
 	next := uint32(0)
 	if idx+1 < len(m.Prog.Insts) {
 		next = m.Prog.Insts[idx+1].Addr
@@ -248,49 +248,51 @@ func (m *Machine) step(rec *stepRecord) error {
 		rec.width = uint8(w)
 	}
 
+	// A taken branch goes to branchTo, the instruction at index branchPC.
 	branchTo := uint32(0)
+	branchPC := 0
 	branched := false
 
 	switch in.Op {
 	case isa.NOP:
 
 	case isa.MOV:
-		v, src, err := m.operandValue(in, in.Src, rec)
+		v, src, err := m.operandValue(in, &in.Src, rec)
 		if err != nil {
 			return err
 		}
-		dst, err := m.writeOperand(in, in.Dst, v, rec)
+		dst, err := m.writeOperand(in, &in.Dst, v, rec)
 		if err != nil {
 			return err
 		}
 		rec.effect(dst, trace.OpIdentity, src)
 
 	case isa.MOVZX:
-		v, src, err := m.operandValue(in, in.Src, rec)
+		v, src, err := m.operandValue(in, &in.Src, rec)
 		if err != nil {
 			return err
 		}
-		dst, err := m.writeOperand(in, in.Dst, v, rec)
+		dst, err := m.writeOperand(in, &in.Dst, v, rec)
 		if err != nil {
 			return err
 		}
 		rec.effect(dst, trace.OpZExt, src)
 
 	case isa.MOVSX:
-		v, src, err := m.operandValue(in, in.Src, rec)
+		v, src, err := m.operandValue(in, &in.Src, rec)
 		if err != nil {
 			return err
 		}
 		sv := uint64(signExtend(v, in.Src.OpWidth()))
-		dst, err := m.writeOperand(in, in.Dst, sv, rec)
+		dst, err := m.writeOperand(in, &in.Dst, sv, rec)
 		if err != nil {
 			return err
 		}
 		rec.effect(dst, trace.OpSExt, src)
 
 	case isa.LEA:
-		addr, regs := m.effectiveAddr(in.Src)
-		dst, err := m.writeOperand(in, in.Dst, uint64(addr), rec)
+		addr, regs := m.effectiveAddr(&in.Src)
+		dst, err := m.writeOperand(in, &in.Dst, uint64(addr), rec)
 		if err != nil {
 			return err
 		}
@@ -307,10 +309,10 @@ func (m *Machine) step(rec *stepRecord) error {
 		rec.effect(dst, trace.OpLea, base, index, immRef(int64(in.Src.Scale)), immRef(int64(in.Src.Disp)))
 
 	case isa.PUSH:
-		v, src, err := m.operandValue(in, in.Src, rec)
+		v, src, err := m.operandValue(in, &in.Src, rec)
 		if err != nil {
 			// Allow push with the operand in Dst for convenience.
-			v, src, err = m.operandValue(in, in.Dst, rec)
+			v, src, err = m.operandValue(in, &in.Dst, rec)
 			if err != nil {
 				return err
 			}
@@ -329,7 +331,7 @@ func (m *Machine) step(rec *stepRecord) error {
 		v := m.Mem.Read(esp, 4)
 		rec.access(in.Addr, esp, 4, false)
 		m.regs[isa.ESP-isa.EAX] = esp + 4
-		dst, err := m.writeOperand(in, in.Dst, v, rec)
+		dst, err := m.writeOperand(in, &in.Dst, v, rec)
 		if err != nil {
 			return err
 		}
@@ -366,11 +368,11 @@ func (m *Machine) step(rec *stepRecord) error {
 		}
 
 	case isa.CMP:
-		a, aref, err := m.operandValue(in, in.Dst, rec)
+		a, aref, err := m.operandValue(in, &in.Dst, rec)
 		if err != nil {
 			return err
 		}
-		b, bref, err := m.operandValue(in, in.Src, rec)
+		b, bref, err := m.operandValue(in, &in.Src, rec)
 		if err != nil {
 			return err
 		}
@@ -379,11 +381,11 @@ func (m *Machine) step(rec *stepRecord) error {
 		rec.effect(m.flagsRef(), trace.OpCmp, aref, bref)
 
 	case isa.TEST:
-		a, aref, err := m.operandValue(in, in.Dst, rec)
+		a, aref, err := m.operandValue(in, &in.Dst, rec)
 		if err != nil {
 			return err
 		}
-		b, bref, err := m.operandValue(in, in.Src, rec)
+		b, bref, err := m.operandValue(in, &in.Src, rec)
 		if err != nil {
 			return err
 		}
@@ -391,7 +393,7 @@ func (m *Machine) step(rec *stepRecord) error {
 		rec.effect(m.flagsRef(), trace.OpTest, aref, bref)
 
 	case isa.JMP:
-		branched, branchTo = true, in.Target
+		branched, branchTo, branchPC = true, in.Target, int(m.Prog.Successors(idx).Target)
 
 	case isa.JZ, isa.JNZ, isa.JB, isa.JNB, isa.JBE, isa.JA,
 		isa.JL, isa.JGE, isa.JLE, isa.JG, isa.JS, isa.JNS:
@@ -402,7 +404,7 @@ func (m *Machine) step(rec *stepRecord) error {
 		}
 		rec.effect(trace.Ref{Space: trace.SpaceNone}, trace.OpBranch, m.flagsRef())
 		if taken {
-			branched, branchTo = true, in.Target
+			branched, branchTo, branchPC = true, in.Target, int(m.Prog.Successors(idx).Target)
 		}
 
 	case isa.SETZ, isa.SETNZ, isa.SETB, isa.SETNB:
@@ -410,7 +412,7 @@ func (m *Machine) step(rec *stepRecord) error {
 		if m.evalCond(in.Op) {
 			v = 1
 		}
-		dst, err := m.writeOperand(in, in.Dst, v, rec)
+		dst, err := m.writeOperand(in, &in.Dst, v, rec)
 		if err != nil {
 			return err
 		}
@@ -434,7 +436,7 @@ func (m *Machine) step(rec *stepRecord) error {
 			m.push32(next)
 			rec.access(in.Addr, m.regs[isa.ESP-isa.EAX], 4, true)
 			m.callDepth++
-			branched, branchTo = true, in.Target
+			branched, branchTo, branchPC = true, in.Target, int(m.Prog.Successors(idx).Target)
 		}
 
 	case isa.RET:
@@ -444,7 +446,7 @@ func (m *Machine) step(rec *stepRecord) error {
 			m.halted = true
 			return nil
 		}
-		branched, branchTo = true, ret
+		branched, branchTo, branchPC = true, ret, m.pcOf(ret)
 
 	case isa.CPUID:
 		// The instrumentation tool intercepts cpuid and reports that no
@@ -466,12 +468,12 @@ func (m *Machine) step(rec *stepRecord) error {
 	}
 
 	if branched {
-		m.eip = branchTo
+		m.eip, m.pc = branchTo, branchPC
 	} else {
 		if next == 0 {
 			m.halted = true
 		}
-		m.eip = next
+		m.eip, m.pc = next, int(m.Prog.Successors(idx).Next)
 	}
 	return nil
 }
@@ -490,16 +492,16 @@ func (m *Machine) regRefBefore(r isa.Reg, refs []trace.Ref) trace.Ref {
 }
 
 // execBinary handles two-operand integer arithmetic and logic.
-func (m *Machine) execBinary(in isa.Inst, rec *stepRecord) error {
+func (m *Machine) execBinary(in *isa.Inst, rec *stepRecord) error {
 	// Three-operand imul: dst = src * imm.
 	if in.Op == isa.IMUL && in.Src2.Kind == isa.KindImm {
-		a, aref, err := m.operandValue(in, in.Src, rec)
+		a, aref, err := m.operandValue(in, &in.Src, rec)
 		if err != nil {
 			return err
 		}
 		w := in.Dst.OpWidth()
 		res := maskWidth(uint64(int64(a)*in.Src2.Imm), w)
-		dst, err := m.writeOperand(in, in.Dst, res, rec)
+		dst, err := m.writeOperand(in, &in.Dst, res, rec)
 		if err != nil {
 			return err
 		}
@@ -509,11 +511,11 @@ func (m *Machine) execBinary(in isa.Inst, rec *stepRecord) error {
 		return nil
 	}
 
-	a, aref, err := m.operandValue(in, in.Dst, rec)
+	a, aref, err := m.operandValue(in, &in.Dst, rec)
 	if err != nil {
 		return err
 	}
-	b, bref, err := m.operandValue(in, in.Src, rec)
+	b, bref, err := m.operandValue(in, &in.Src, rec)
 	if err != nil {
 		return err
 	}
@@ -568,7 +570,7 @@ func (m *Machine) execBinary(in isa.Inst, rec *stepRecord) error {
 		m.setFlagsLogic(maskWidth(res, w), w)
 	}
 	res = maskWidth(res, w)
-	dst, err := m.writeOperand(in, in.Dst, res, rec)
+	dst, err := m.writeOperand(in, &in.Dst, res, rec)
 	if err != nil {
 		return err
 	}
@@ -578,8 +580,8 @@ func (m *Machine) execBinary(in isa.Inst, rec *stepRecord) error {
 }
 
 // execUnary handles single-operand integer instructions.
-func (m *Machine) execUnary(in isa.Inst, rec *stepRecord) error {
-	a, aref, err := m.operandValue(in, in.Dst, rec)
+func (m *Machine) execUnary(in *isa.Inst, rec *stepRecord) error {
+	a, aref, err := m.operandValue(in, &in.Dst, rec)
 	if err != nil {
 		return err
 	}
@@ -606,7 +608,7 @@ func (m *Machine) execUnary(in isa.Inst, rec *stepRecord) error {
 		m.setFlagsArith(a, 1, 0, res, w, true, true)
 	}
 	res = maskWidth(res, w)
-	dst, err := m.writeOperand(in, in.Dst, res, rec)
+	dst, err := m.writeOperand(in, &in.Dst, res, rec)
 	if err != nil {
 		return err
 	}
@@ -618,12 +620,12 @@ func (m *Machine) execUnary(in isa.Inst, rec *stepRecord) error {
 }
 
 // execShift handles shift instructions; the count is an immediate or CL.
-func (m *Machine) execShift(in isa.Inst, rec *stepRecord) error {
-	a, aref, err := m.operandValue(in, in.Dst, rec)
+func (m *Machine) execShift(in *isa.Inst, rec *stepRecord) error {
+	a, aref, err := m.operandValue(in, &in.Dst, rec)
 	if err != nil {
 		return err
 	}
-	cnt, cref, err := m.operandValue(in, in.Src, rec)
+	cnt, cref, err := m.operandValue(in, &in.Src, rec)
 	if err != nil {
 		return err
 	}
@@ -644,7 +646,7 @@ func (m *Machine) execShift(in isa.Inst, rec *stepRecord) error {
 	}
 	res = maskWidth(res, w)
 	m.setFlagsLogic(res, w)
-	dst, err := m.writeOperand(in, in.Dst, res, rec)
+	dst, err := m.writeOperand(in, &in.Dst, res, rec)
 	if err != nil {
 		return err
 	}
@@ -659,8 +661,8 @@ func (m *Machine) execShift(in isa.Inst, rec *stepRecord) error {
 // and the quotient cannot overflow; EAX gets the quotient, EDX the
 // remainder, and a zero divisor faults.  The corpus relies on this:
 // boxblur3 divides with a row pointer in EDX.
-func (m *Machine) execMulDiv(in isa.Inst, rec *stepRecord) error {
-	b, bref, err := m.operandValue(in, in.Dst, rec)
+func (m *Machine) execMulDiv(in *isa.Inst, rec *stepRecord) error {
+	b, bref, err := m.operandValue(in, &in.Dst, rec)
 	if err != nil {
 		return err
 	}
@@ -690,14 +692,14 @@ func (m *Machine) execMulDiv(in isa.Inst, rec *stepRecord) error {
 // execFloat handles the x87-style floating point subset.  Stack-relative
 // locations are resolved to physical registers here, so the trace already
 // contains renamed registers (paper section 4.5).
-func (m *Machine) execFloat(in isa.Inst, rec *stepRecord) error {
+func (m *Machine) execFloat(in *isa.Inst, rec *stepRecord) error {
 	switch in.Op {
 	case isa.FLDZ:
 		r := m.fpuPush(0)
 		rec.effect(m.regRef(r), trace.OpIdentity, trace.Ref{Space: trace.SpaceImm, Width: 8, Val: 0, Float: true})
 
 	case isa.FLD:
-		v, src, err := m.operandFloat(in, in.Dst, rec)
+		v, src, err := m.operandFloat(in, &in.Dst, rec)
 		if err != nil {
 			return err
 		}
@@ -708,7 +710,7 @@ func (m *Machine) execFloat(in isa.Inst, rec *stepRecord) error {
 		if in.Dst.Kind != isa.KindMem {
 			return m.faultf("fild requires a memory operand")
 		}
-		addr, regs := m.effectiveAddr(in.Dst)
+		addr, regs := m.effectiveAddr(&in.Dst)
 		iv := signExtend(m.Mem.Read(addr, in.Dst.Width), in.Dst.Width)
 		rec.mem(in.Addr, addr, in.Dst.Width, &regs, false)
 		r := m.fpuPush(float64(iv))
@@ -718,7 +720,7 @@ func (m *Machine) execFloat(in isa.Inst, rec *stepRecord) error {
 		if in.Dst.Kind != isa.KindMem {
 			return m.faultf("fst requires a memory operand")
 		}
-		addr, regs := m.effectiveAddr(in.Dst)
+		addr, regs := m.effectiveAddr(&in.Dst)
 		topRef := m.regRef(m.fpuTopReg())
 		v := m.fpuTop()
 		var bits uint64
@@ -738,7 +740,7 @@ func (m *Machine) execFloat(in isa.Inst, rec *stepRecord) error {
 		if in.Dst.Kind != isa.KindMem {
 			return m.faultf("fistp requires a memory operand")
 		}
-		addr, regs := m.effectiveAddr(in.Dst)
+		addr, regs := m.effectiveAddr(&in.Dst)
 		topRef := m.regRef(m.fpuTopReg())
 		v := m.fpuTop()
 		iv := int64(math.RoundToEven(v))
@@ -748,7 +750,7 @@ func (m *Machine) execFloat(in isa.Inst, rec *stepRecord) error {
 		m.fpuPop()
 
 	case isa.FADD, isa.FSUB, isa.FMUL, isa.FDIV:
-		v, src, err := m.operandFloat(in, in.Dst, rec)
+		v, src, err := m.operandFloat(in, &in.Dst, rec)
 		if err != nil {
 			return err
 		}

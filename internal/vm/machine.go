@@ -76,6 +76,9 @@ type Machine struct {
 	fcnt  int        // number of live stack entries (for diagnostics)
 	flag  flags
 	eip   uint32
+	// pc is the index in Prog.Insts of the instruction at eip, or -1 when
+	// there is none.
+	pc int
 
 	callDepth int
 	halted    bool
@@ -104,7 +107,7 @@ func (m *Machine) Reset() {
 	m.ftop = 0
 	m.fcnt = 0
 	m.flag = flags{}
-	m.eip = m.Prog.Entry
+	m.eip, m.pc = m.Prog.Entry, m.pcOf(m.Prog.Entry)
 	m.halted = false
 	m.callDepth = 0
 	m.steps = 0
@@ -206,6 +209,14 @@ func (m *Machine) fpuST(i int) isa.Reg { return isa.F0 + isa.Reg((m.ftop+i)%8) }
 
 func (m *Machine) fpuReplaceTop(v float64) { m.fregs[m.ftop] = v }
 
+// pcOf returns the index of the instruction at addr, or -1.
+func (m *Machine) pcOf(addr uint32) int {
+	if i, ok := m.Prog.Lookup(addr); ok {
+		return i
+	}
+	return -1
+}
+
 // stack helpers.
 
 func (m *Machine) push32(v uint32) {
@@ -233,7 +244,7 @@ func (a *addrRegs) slice() []trace.Ref { return a.refs[:a.n] }
 
 // effectiveAddr computes the absolute address of a memory operand and
 // returns the register references used to form it.
-func (m *Machine) effectiveAddr(o isa.Operand) (uint32, addrRegs) {
+func (m *Machine) effectiveAddr(o *isa.Operand) (uint32, addrRegs) {
 	var addr uint32
 	var regs addrRegs
 	if o.Base != isa.RegNone {

@@ -73,7 +73,15 @@ func (m *Machine) RunCoverage(opts CoverageOptions) (*CoverageResult, error) {
 	if maxSteps == 0 {
 		maxSteps = DefaultMaxSteps
 	}
+	// Leader and exclusion flags by instruction index, so the step loop
+	// looks up neither map.
 	leaders := m.Prog.Leaders()
+	isLeader := make([]bool, len(m.Prog.Insts))
+	excluded := make([]bool, len(m.Prog.Insts))
+	for i := range m.Prog.Insts {
+		addr := m.Prog.Insts[i].Addr
+		isLeader[i], excluded[i] = leaders[addr], opts.ExcludeBlocks[addr]
+	}
 	res := &CoverageResult{
 		Blocks:      make(map[uint32]uint64),
 		Edges:       make(map[Edge]uint64),
@@ -88,20 +96,19 @@ func (m *Machine) RunCoverage(opts CoverageOptions) (*CoverageResult, error) {
 		if m.steps >= maxSteps {
 			return nil, fmt.Errorf("vm: %s exceeded %d steps during coverage run", m.Prog.Name, maxSteps)
 		}
-		eip := m.eip
-		if leaders[eip] {
+		idx := m.pc
+		if idx < 0 {
+			return nil, m.faultf("no instruction at eip")
+		}
+		if eip := m.eip; isLeader[idx] {
 			res.Blocks[eip]++
-			instrumented := !opts.ExcludeBlocks[eip]
+			instrumented := !excluded[idx]
 			if instrumented && haveBlock && curInstrumented {
 				res.Edges[Edge{From: curBlock, To: eip}]++
 			}
 			curBlock, haveBlock, curInstrumented = eip, true, instrumented
 		}
-		idx, ok := m.Prog.Lookup(eip)
-		if !ok {
-			return nil, m.faultf("no instruction at eip")
-		}
-		in := m.Prog.Insts[idx]
+		in := &m.Prog.Insts[idx]
 		if in.Op == isa.CALL && in.Sym == "" && curInstrumented {
 			if res.CallTargets[in.Addr] == nil {
 				res.CallTargets[in.Addr] = make(map[uint32]bool)
