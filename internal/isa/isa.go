@@ -551,16 +551,6 @@ func (p *Program) At(addr uint32) Inst {
 	return p.Insts[i]
 }
 
-// Next returns the address of the instruction following addr in layout
-// order, or 0 if addr is the last instruction.
-func (p *Program) Next(addr uint32) uint32 {
-	i, ok := p.Lookup(addr)
-	if !ok || i+1 >= len(p.Insts) {
-		return 0
-	}
-	return p.Insts[i+1].Addr
-}
-
 // Leaders computes the set of static basic block leader addresses: the
 // entry point, every branch target and every instruction following a
 // control transfer.
