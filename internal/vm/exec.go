@@ -233,6 +233,7 @@ func (m *Machine) step(rec *stepRecord) error {
 		return m.faultf("no instruction at eip")
 	}
 	in := &m.Prog.Insts[idx]
+	succ := m.Prog.Successors(idx)
 	next := uint32(0)
 	if idx+1 < len(m.Prog.Insts) {
 		next = m.Prog.Insts[idx+1].Addr
@@ -393,7 +394,7 @@ func (m *Machine) step(rec *stepRecord) error {
 		rec.effect(m.flagsRef(), trace.OpTest, aref, bref)
 
 	case isa.JMP:
-		branched, branchTo, branchPC = true, in.Target, int(m.Prog.Successors(idx).Target)
+		branched, branchTo, branchPC = true, in.Target, int(succ.Target)
 
 	case isa.JZ, isa.JNZ, isa.JB, isa.JNB, isa.JBE, isa.JA,
 		isa.JL, isa.JGE, isa.JLE, isa.JG, isa.JS, isa.JNS:
@@ -404,7 +405,7 @@ func (m *Machine) step(rec *stepRecord) error {
 		}
 		rec.effect(trace.Ref{Space: trace.SpaceNone}, trace.OpBranch, m.flagsRef())
 		if taken {
-			branched, branchTo, branchPC = true, in.Target, int(m.Prog.Successors(idx).Target)
+			branched, branchTo, branchPC = true, in.Target, int(succ.Target)
 		}
 
 	case isa.SETZ, isa.SETNZ, isa.SETB, isa.SETNB:
@@ -436,7 +437,7 @@ func (m *Machine) step(rec *stepRecord) error {
 			m.push32(next)
 			rec.access(in.Addr, m.regs[isa.ESP-isa.EAX], 4, true)
 			m.callDepth++
-			branched, branchTo, branchPC = true, in.Target, int(m.Prog.Successors(idx).Target)
+			branched, branchTo, branchPC = true, in.Target, int(succ.Target)
 		}
 
 	case isa.RET:
@@ -473,7 +474,7 @@ func (m *Machine) step(rec *stepRecord) error {
 		if next == 0 {
 			m.halted = true
 		}
-		m.eip, m.pc = next, int(m.Prog.Successors(idx).Next)
+		m.eip, m.pc = next, int(succ.Next)
 	}
 	return nil
 }
