@@ -10,7 +10,7 @@
 //	helium [-kernel name] [-width N] [-height N] [-seed N] [-v]
 //	       [-backend interp|compiled|generated] [-workers N] [-strict]
 //	helium tune [-out schedules.json] [-smoke] [-width N] [-height N]
-//	helium gen [-out dir] [-check] [-schedules schedules.json]
+//	helium gen [-out dir] [-check] [-schedules schedules.json]   (dir/kernels.go)
 //
 // With no -kernel, every corpus kernel is lifted.  The default backend
 // compiles the lifted trees to register programs and evaluates them both
@@ -31,10 +31,11 @@
 // VM before timing it, and writes the winners to schedules.json; -smoke
 // runs a tiny grid and asserts the artifact round-trips, for CI.
 //
-// The gen subcommand regenerates the internal/liftedkernels package from
+// The gen subcommand regenerates internal/liftedkernels/kernels.go from
 // the corpus (true ahead-of-time codegen), embedding the tuned schedules
 // as the generated kernels' defaults; -check verifies the checked-in
-// package is up to date instead of writing, for CI.
+// kernels.go is up to date instead of writing, for CI.  The package's
+// runtime.go is hand-written and gen leaves it alone.
 //
 // Performance is measured outside this command: by the perfbench module
 // (end to end and per layer) and by the Go benchmarks in internal/lift.
@@ -353,13 +354,14 @@ func runBackend(be string, k legacy.Kernel, inst *legacy.Instance, res *lift.Res
 	return nil
 }
 
-// runGen regenerates (or, with -check, verifies) the ahead-of-time
-// compiled kernel package from the lifted corpus.
+// runGen regenerates (or, with -check, verifies) kernels.go, the
+// ahead-of-time compiled half of the liftedkernels package, from the
+// lifted corpus.
 func runGen(args []string) error {
 	fs := flag.NewFlagSet("gen", flag.ExitOnError)
 	var (
-		out       = fs.String("out", filepath.Join("internal", "liftedkernels"), "output package directory")
-		check     = fs.Bool("check", false, "verify the checked-in package matches instead of writing")
+		out       = fs.String("out", filepath.Join("internal", "liftedkernels"), "package directory whose kernels.go is written")
+		check     = fs.Bool("check", false, "verify the checked-in kernels.go matches instead of writing")
 		width     = fs.Int("width", 40, "image width the corpus is lifted at")
 		height    = fs.Int("height", 24, "image height the corpus is lifted at")
 		seed      = fs.Uint64("seed", 1, "deterministic input pattern seed")
@@ -373,50 +375,45 @@ func runGen(args []string) error {
 	if err != nil {
 		return err
 	}
-	files, err := GenerateCorpusPackage(legacy.Config{Width: *width, Height: *height, Seed: *seed}, scheds)
+	src, err := GenerateCorpusPackage(legacy.Config{Width: *width, Height: *height, Seed: *seed}, scheds)
 	if err != nil {
 		return err
 	}
 
+	path := filepath.Join(*out, "kernels.go")
 	if *check {
-		for name, want := range files {
-			path := filepath.Join(*out, name)
-			got, err := os.ReadFile(path)
-			if err != nil {
-				return fmt.Errorf("%s: %w (run `helium gen` and commit the result)", path, err)
-			}
-			if !bytes.Equal(got, []byte(want)) {
-				return fmt.Errorf("%s is stale: run `helium gen` and commit the result", path)
-			}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			return fmt.Errorf("%s: %w (run `helium gen` and commit the result)", path, err)
 		}
-		fmt.Printf("gen: %d file(s) in %s are up to date\n", len(files), *out)
+		if !bytes.Equal(got, []byte(src)) {
+			return fmt.Errorf("%s is stale: run `helium gen` and commit the result", path)
+		}
+		fmt.Printf("gen: %s is up to date\n", path)
 		return nil
 	}
 
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		return err
 	}
-	for name, content := range files {
-		path := filepath.Join(*out, name)
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("gen: wrote %s (%d bytes)\n", path, len(content))
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		return err
 	}
+	fmt.Printf("gen: wrote %s (%d bytes)\n", path, len(src))
 	return nil
 }
 
 // GenerateCorpusPackage lifts every corpus kernel at the given config and
-// renders the liftedkernels package sources: file name -> content.  The
-// tuned schedule set (nil = none) is embedded as each kernel's default
-// schedule.
-func GenerateCorpusPackage(cfg legacy.Config, scheds *schedule.Set) (map[string]string, error) {
+// renders the generated half of the liftedkernels package, the source of
+// kernels.go; runtime.go beside it is hand-written.  The tuned schedule
+// set (nil = none) is embedded as each kernel's default schedule.
+func GenerateCorpusPackage(cfg legacy.Config, scheds *schedule.Set) (string, error) {
 	var units []ir.GenKernel
 	for _, k := range legacy.Kernels() {
 		inst := k.Instantiate(cfg)
 		res, err := lift.Lift(k.Name, target(inst))
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", k.Name, err)
+			return "", fmt.Errorf("%s: %w", k.Name, err)
 		}
 		u := ir.GenKernel{Name: k.Name, Sched: scheds.For(k.Name)}
 		for i := range res.Stages {
@@ -432,12 +429,5 @@ func GenerateCorpusPackage(cfg legacy.Config, scheds *schedule.Set) (map[string]
 		}
 		units = append(units, u)
 	}
-	src, err := ir.GenerateUnits("liftedkernels", units)
-	if err != nil {
-		return nil, err
-	}
-	return map[string]string{
-		"runtime.go": ir.GenerateRuntime("liftedkernels"),
-		"kernels.go": src,
-	}, nil
+	return ir.GenerateUnits("liftedkernels", units)
 }

@@ -45,23 +45,21 @@ func TestSchedulesCoverCorpus(t *testing.T) {
 	}
 }
 
-// TestGeneratedPackageUpToDate regenerates the liftedkernels sources
-// in-memory and diffs them against the checked-in files, so any drift
-// between the lifting pipeline and the committed generated code fails
-// tier-1 — not just the CI gen-check job.
+// TestGeneratedPackageUpToDate regenerates kernels.go in-memory and diffs
+// it against the checked-in file, so any drift between the lifting
+// pipeline and the committed generated code fails tier-1 — not just the
+// CI gen-check job.
 func TestGeneratedPackageUpToDate(t *testing.T) {
-	files, err := GenerateCorpusPackage(legacy.Config{Width: 40, Height: 24, Seed: 1}, repoSchedules(t))
+	want, err := GenerateCorpusPackage(legacy.Config{Width: 40, Height: 24, Seed: 1}, repoSchedules(t))
 	if err != nil {
 		t.Fatalf("GenerateCorpusPackage: %v", err)
 	}
-	for name, want := range files {
-		path := filepath.Join(repoRoot(), "internal", "liftedkernels", name)
-		got, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("%s: %v (run `helium gen` and commit the result)", path, err)
-		}
-		if string(got) != want {
-			t.Errorf("%s is stale: run `helium gen` and commit the result", path)
-		}
+	path := filepath.Join(repoRoot(), "internal", "liftedkernels", "kernels.go")
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%s: %v (run `helium gen` and commit the result)", path, err)
+	}
+	if string(got) != want {
+		t.Errorf("%s is stale: run `helium gen` and commit the result", path)
 	}
 }

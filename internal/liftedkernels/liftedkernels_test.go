@@ -1,5 +1,5 @@
 // End-to-end test of the checked-in generated package (this file is
-// handwritten; `helium gen` only rewrites runtime.go and kernels.go).
+// handwritten; `helium gen` only rewrites kernels.go).
 package liftedkernels_test
 
 import (

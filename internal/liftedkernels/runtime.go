@@ -1,5 +1,3 @@
-// Code generated by "helium gen"; DO NOT EDIT.
-
 // Package liftedkernels holds ahead-of-time Go source regenerated from the
 // lifted stencil corpus — the reproduction's analogue of the Halide code
 // Helium emits.  It is standalone: nothing here imports the lifting
@@ -257,7 +255,7 @@ func (sc *Scratch) binsBuf(n int) []uint32 {
 	return sc.bins[:n]
 }
 
-// / worker returns worker t's own scratch: the parallel fused path gives
+// worker returns worker t's own scratch: the parallel fused path gives
 // every strip private ring planes that persist across evals.
 func (sc *Scratch) worker(t int) *Scratch {
 	for len(sc.procs) <= t {
