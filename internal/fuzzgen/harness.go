@@ -137,6 +137,21 @@ func classify(rep Report, err error) Report {
 	return rep
 }
 
+// target is the lift target of a built instance, under the harness's
+// emulation budgets.
+func target(inst *legacy.Instance) lift.Target {
+	return lift.Target{
+		Prog:  inst.Prog,
+		Setup: inst.Setup,
+		Known: lift.KnownInput{
+			Width: inst.Width, Height: inst.Height, Channels: inst.Channels,
+			Interleaved: inst.Interleaved, Interior: inst.InputInterior,
+		},
+		MaxSteps:      maxSteps,
+		MaxTraceInsts: maxTraceInsts,
+	}
+}
+
 // runPipeline performs lift + all-backend verification, converting panics
 // into the report.  A non-nil error return is classified by the caller; a
 // report already marked is final.
@@ -148,16 +163,7 @@ func runPipeline(spec Spec, inst *legacy.Instance, rep *Report) (err error) {
 		}
 	}()
 
-	res, err := lift.Lift(spec.Name(), lift.Target{
-		Prog:  inst.Prog,
-		Setup: inst.Setup,
-		Known: lift.KnownInput{
-			Width: inst.Width, Height: inst.Height, Channels: inst.Channels,
-			Interleaved: inst.Interleaved, Interior: inst.InputInterior,
-		},
-		MaxSteps:      maxSteps,
-		MaxTraceInsts: maxTraceInsts,
-	})
+	res, err := lift.Lift(spec.Name(), target(inst))
 	if err != nil {
 		return err
 	}

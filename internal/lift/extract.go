@@ -189,11 +189,11 @@ func outputWrites(tr *trace.InstTrace, out OutputDesc) []int {
 	hi := out.Base + uint64(out.Rows-1)*uint64(out.Stride) + uint64(out.RowBytes)
 	var seqs []int
 	for i := 0; i < tr.Len(); i++ {
-		di := tr.At(i)
-		for _, ef := range di.Effects {
-			d := ef.Dst
+		effects := tr.Effects(tr.At(i))
+		for e := range effects {
+			d := &effects[e].Dst
 			if d.Space == trace.SpaceMem && d.Addr+uint64(d.Width) > lo && d.Addr < hi {
-				seqs = append(seqs, di.Seq)
+				seqs = append(seqs, i)
 				break
 			}
 		}
@@ -210,7 +210,7 @@ func (ex *extractor) sample(x, y, c int) (*ir.Expr, []Guard, error) {
 		return nil, nil, fmt.Errorf("no trace write to %#x", addr)
 	}
 	di := ex.tr.At(seq)
-	ef := findEffect(di, addr, 1)
+	ef := findEffect(ex.tr, di, addr, 1)
 	if ef == nil {
 		return nil, nil, fmt.Errorf("writer %v has no effect covering %#x", di.Op, addr)
 	}
@@ -218,7 +218,7 @@ func (ex *extractor) sample(x, y, c int) (*ir.Expr, []Guard, error) {
 	ex.xo, ex.yo, ex.curChannel = x, y, c
 	ex.reset()
 
-	e, err := ex.effectExpr(di, ef)
+	e, err := ex.effectExpr(seq, di, ef)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -315,13 +315,13 @@ func guardIndex(guards []Guard, key string) int {
 func (ex *extractor) condExpr(seq int, cc isa.Opcode) (*ir.Expr, error) {
 	// The producer is the flags source's definition: every flags write
 	// covers all of the flags bytes, so it is the last writer of each.
-	def := flagsDef(ex.tr.At(seq))
+	def := flagsDef(ex.tr, ex.tr.At(seq))
 	if def == 0 {
 		return nil, fmt.Errorf("%v at seq %d has no flags producer in the trace", cc, seq)
 	}
 	w := int(def) - 1
 	pdi := ex.tr.At(w)
-	ef := findEffect(pdi, trace.FlagsAddr, 1)
+	ef := findEffect(ex.tr, pdi, trace.FlagsAddr, 1)
 	if ef == nil {
 		return nil, fmt.Errorf("flags producer %v at seq %d has no flags effect", pdi.Op, w)
 	}
@@ -330,24 +330,25 @@ func (ex *extractor) condExpr(seq int, cc isa.Opcode) (*ir.Expr, error) {
 		width = 4
 	}
 
+	srcs := ex.tr.Srcs(ef)
 	switch ef.Op {
 	case trace.OpCmp:
-		a, err := ex.refExpr(pdi.Seq, ef.Srcs[0])
+		a, err := ex.refExpr(w, srcs[0])
 		if err != nil {
 			return nil, err
 		}
-		b, err := ex.refExpr(pdi.Seq, ef.Srcs[1])
+		b, err := ex.refExpr(w, srcs[1])
 		if err != nil {
 			return nil, err
 		}
 		return predAfterCmp(ex.t, cc, width, a, b, pdi)
 
 	case trace.OpTest:
-		a, err := ex.refExpr(pdi.Seq, ef.Srcs[0])
+		a, err := ex.refExpr(w, srcs[0])
 		if err != nil {
 			return nil, err
 		}
-		b, err := ex.refExpr(pdi.Seq, ef.Srcs[1])
+		b, err := ex.refExpr(w, srcs[1])
 		if err != nil {
 			return nil, err
 		}
@@ -362,10 +363,11 @@ func (ex *extractor) condExpr(seq int, cc isa.Opcode) (*ir.Expr, error) {
 		// conditions reflect its stored result, which the value slice can
 		// reconstruct.  Conditions that need the overflow or carry flag of
 		// an arithmetic result are not reconstructible from the value alone.
-		for i := range pdi.Effects {
-			vf := &pdi.Effects[i]
+		effects := ex.tr.Effects(pdi)
+		for i := range effects {
+			vf := &effects[i]
 			if vf.Dst.Space != trace.SpaceFlags && vf.Dst.Space != trace.SpaceNone && vf.Op == ef.Op {
-				v, err := ex.effectExpr(pdi, vf)
+				v, err := ex.effectExpr(w, pdi, vf)
 				if err != nil {
 					return nil, err
 				}
@@ -379,9 +381,10 @@ func (ex *extractor) condExpr(seq int, cc isa.Opcode) (*ir.Expr, error) {
 
 // flagsDef returns the Def of the flags a record reads, or 0 when it
 // reads no flags or no earlier record wrote them.
-func flagsDef(di *trace.DynInst) int32 {
-	for _, ef := range di.Effects {
-		for _, src := range ef.Srcs {
+func flagsDef(tr *trace.InstTrace, di *trace.Record) int32 {
+	effects := tr.Effects(di)
+	for i := range effects {
+		for _, src := range tr.Srcs(&effects[i]) {
 			if src.Space == trace.SpaceFlags {
 				return src.Def
 			}
@@ -392,7 +395,7 @@ func flagsDef(di *trace.DynInst) int32 {
 
 // predAfterCmp maps a condition code evaluated after cmp(a, b) onto the
 // IR comparison that is true exactly when the condition holds.
-func predAfterCmp(t *exprTable, cc isa.Opcode, w int, a, b *ir.Expr, pdi *trace.DynInst) (*ir.Expr, error) {
+func predAfterCmp(t *exprTable, cc isa.Opcode, w int, a, b *ir.Expr, pdi *trace.Record) (*ir.Expr, error) {
 	switch cc {
 	case isa.JZ, isa.SETZ:
 		return t.bin(ir.OpCmpEq, w, a, b), nil
@@ -421,7 +424,7 @@ func predAfterCmp(t *exprTable, cc isa.Opcode, w int, a, b *ir.Expr, pdi *trace.
 
 // predOfValue maps a condition code onto a predicate over a reconstructed
 // result value (test a, a; arithmetic flag producers).
-func predOfValue(t *exprTable, cc isa.Opcode, w int, v *ir.Expr, pdi *trace.DynInst) (*ir.Expr, error) {
+func predOfValue(t *exprTable, cc isa.Opcode, w int, v *ir.Expr, pdi *trace.Record) (*ir.Expr, error) {
 	zero := t.constant(0)
 	switch cc {
 	case isa.JZ, isa.SETZ:
@@ -439,10 +442,11 @@ func predOfValue(t *exprTable, cc isa.Opcode, w int, v *ir.Expr, pdi *trace.DynI
 
 // findEffect returns the effect of di whose destination covers the byte
 // range [addr, addr+width).
-func findEffect(di *trace.DynInst, addr uint64, width uint8) *trace.Effect {
+func findEffect(tr *trace.InstTrace, di *trace.Record, addr uint64, width uint8) *trace.StoredEffect {
 	want := trace.Ref{Space: trace.SpaceMem, Addr: addr, Width: width}
-	for i := range di.Effects {
-		ef := &di.Effects[i]
+	effects := tr.Effects(di)
+	for i := range effects {
+		ef := &effects[i]
 		if ef.Dst.Space != trace.SpaceNone && ef.Dst.Space != trace.SpaceImm && ef.Dst.Contains(want) {
 			return ef
 		}
@@ -524,12 +528,12 @@ func (ex *extractor) refConst(ref trace.Ref) *ir.Expr {
 // throughWrite continues the slice through the effect that last wrote ref.
 func (ex *extractor) throughWrite(w int, ref trace.Ref) (*ir.Expr, error) {
 	di := ex.tr.At(w)
-	ef := findEffect(di, ref.Addr, ref.Width)
+	ef := findEffect(ex.tr, di, ref.Addr, ref.Width)
 	if ef == nil {
 		return nil, fmt.Errorf("%v at %#x (seq %d) wrote only part of %v; partial-write slicing is unsupported — the nearest liftable pattern stores the full destination width before any wider read (split the store, or read back at the stored width)",
 			di.Op, di.Addr, w, ref)
 	}
-	e, err := ex.effectExpr(di, ef)
+	e, err := ex.effectExpr(w, di, ef)
 	if err != nil {
 		return nil, err
 	}
@@ -545,17 +549,19 @@ func (ex *extractor) throughWrite(w int, ref trace.Ref) (*ir.Expr, error) {
 	return e, nil
 }
 
-// effectExpr turns one architectural assignment into an expression node.
-func (ex *extractor) effectExpr(di *trace.DynInst, ef *trace.Effect) (*ir.Expr, error) {
+// effectExpr turns one architectural assignment of record seq, di, into an
+// expression node.
+func (ex *extractor) effectExpr(seq int, di *trace.Record, ef *trace.StoredEffect) (*ir.Expr, error) {
 	ex.nodes++
 	w := int(ef.Dst.Width)
+	srcs := ex.tr.Srcs(ef)
 
 	switch ef.Op {
 	case trace.OpIdentity:
-		return ex.refExpr(di.Seq, ef.Srcs[0])
+		return ex.refExpr(seq, srcs[0])
 
 	case trace.OpZExt, trace.OpSExt:
-		child, err := ex.refExpr(di.Seq, ef.Srcs[0])
+		child, err := ex.refExpr(seq, srcs[0])
 		if err != nil {
 			return nil, err
 		}
@@ -563,20 +569,20 @@ func (ex *extractor) effectExpr(di *trace.DynInst, ef *trace.Effect) (*ir.Expr, 
 		if ef.Op == trace.OpSExt {
 			op = ir.OpSExt
 		}
-		return ex.t.node(ir.Expr{Op: op, Width: w, SrcWidth: int(ef.Srcs[0].Width)}, child), nil
+		return ex.t.node(ir.Expr{Op: op, Width: w, SrcWidth: int(srcs[0].Width)}, child), nil
 
 	case trace.OpLea:
 		// srcs = [base, index, scale, disp]: expand the address arithmetic.
-		base, err := ex.refExpr(di.Seq, ef.Srcs[0])
+		base, err := ex.refExpr(seq, srcs[0])
 		if err != nil {
 			return nil, err
 		}
-		index, err := ex.refExpr(di.Seq, ef.Srcs[1])
+		index, err := ex.refExpr(seq, srcs[1])
 		if err != nil {
 			return nil, err
 		}
-		scale := int64(ef.Srcs[2].Val)
-		disp := int64(int32(ef.Srcs[3].Val))
+		scale := int64(srcs[2].Val)
+		disp := int64(int32(srcs[3].Val))
 		scaled := index
 		if scale != 1 {
 			scaled = ex.t.bin(ir.OpMul, w, index, ex.t.constant(scale))
@@ -584,21 +590,21 @@ func (ex *extractor) effectExpr(di *trace.DynInst, ef *trace.Effect) (*ir.Expr, 
 		return ex.t.bin(ir.OpAdd, w, ex.t.bin(ir.OpAdd, w, base, scaled), ex.t.constant(disp)), nil
 
 	case trace.OpCall:
-		child, err := ex.refExpr(di.Seq, ef.Srcs[0])
+		child, err := ex.refExpr(seq, srcs[0])
 		if err != nil {
 			return nil, err
 		}
-		return ex.t.node(ir.Expr{Op: ir.OpCall, Sym: di.Sym}, child), nil
+		return ex.t.node(ir.Expr{Op: ir.OpCall, Sym: ex.sym(di.Addr)}, child), nil
 
 	case trace.OpIntToFP:
-		child, err := ex.refExpr(di.Seq, ef.Srcs[0])
+		child, err := ex.refExpr(seq, srcs[0])
 		if err != nil {
 			return nil, err
 		}
-		return ex.t.node(ir.Expr{Op: ir.OpIntToFP, SrcWidth: int(ef.Srcs[0].Width)}, child), nil
+		return ex.t.node(ir.Expr{Op: ir.OpIntToFP, SrcWidth: int(srcs[0].Width)}, child), nil
 
 	case trace.OpFPToInt:
-		child, err := ex.refExpr(di.Seq, ef.Srcs[0])
+		child, err := ex.refExpr(seq, srcs[0])
 		if err != nil {
 			return nil, err
 		}
@@ -607,7 +613,7 @@ func (ex *extractor) effectExpr(di *trace.DynInst, ef *trace.Effect) (*ir.Expr, 
 	case trace.OpSelectSet:
 		// setcc materializes a flag condition as a 0/1 byte: lift the
 		// condition itself, which the IR comparisons express directly.
-		cond, err := ex.condExpr(di.Seq, di.Op)
+		cond, err := ex.condExpr(seq, di.Op)
 		if err != nil {
 			return nil, err
 		}
@@ -616,21 +622,21 @@ func (ex *extractor) effectExpr(di *trace.DynInst, ef *trace.Effect) (*ir.Expr, 
 
 	op, ok := simpleOps[ef.Op]
 	if !ok {
-		return nil, fmt.Errorf("%v at %#x (seq %d): effect op %v is not liftable", di.Op, di.Addr, di.Seq, ef.Op)
+		return nil, fmt.Errorf("%v at %#x (seq %d): effect op %v is not liftable", di.Op, di.Addr, seq, ef.Op)
 	}
-	if len(ef.Srcs) != arity(op) {
+	if len(srcs) != arity(op) {
 		return nil, fmt.Errorf("%v at %#x (seq %d): %v with %d operands reads the carry flag as data; flag-carrying chains (adc/sbb) are not liftable — the nearest supported pattern is plain add/sub at the full operand width",
-			di.Op, di.Addr, di.Seq, ef.Op, len(ef.Srcs))
+			di.Op, di.Addr, seq, ef.Op, len(srcs))
 	}
 	var args [2]*ir.Expr
-	for i, src := range ef.Srcs {
-		child, err := ex.refExpr(di.Seq, src)
+	for i, src := range srcs {
+		child, err := ex.refExpr(seq, src)
 		if err != nil {
 			return nil, err
 		}
 		args[i] = child
 	}
-	return ex.t.node(ir.Expr{Op: op, Width: w}, args[:len(ef.Srcs)]...), nil
+	return ex.t.node(ir.Expr{Op: op, Width: w}, args[:len(srcs)]...), nil
 }
 
 // simpleOps maps the trace's plain arithmetic effects onto IR operators.
@@ -731,13 +737,21 @@ func (ex *extractor) dataSegment(ref trace.Ref) *isa.Segment {
 	return nil
 }
 
+// sym returns the imported symbol of the external call at addr.
+func (ex *extractor) sym(addr uint32) string {
+	if pc, ok := ex.prog.Lookup(addr); ok {
+		return ex.prog.Insts[pc].Sym
+	}
+	return ""
+}
+
 // segmentRef lifts a read-only data segment access: a fixed address is a
 // compiled-in constant, a register-indexed address is a table lookup whose
 // index expression is reconstructed from the address registers (paper
 // section 4.7, table lookups such as Photoshop's brightness LUT).
 func (ex *extractor) segmentRef(seq int, ref trace.Ref, seg *isa.Segment) (*ir.Expr, error) {
 	di := ex.tr.At(seq)
-	if len(di.AddrRefs) == 0 || !di.HasMem || di.MemAddr != ref.Addr {
+	if di.MemAddr != ref.Addr || !di.HasMem || len(ex.tr.AddrRefs(di)) == 0 {
 		ex.nodes++
 		return ex.refConst(ref), nil
 	}
@@ -837,7 +851,7 @@ func (ex *extractor) tableInRef(seq int, ref trace.Ref, tb *TableDesc) (*ir.Expr
 	baseVal := int64(0)
 	if memOp.Base != isa.RegNone {
 		found := false
-		for _, r := range di.AddrRefs {
+		for _, r := range ex.tr.AddrRefs(di) {
 			if r.Space == trace.SpaceReg && r.Addr == trace.RegAddr(memOp.Base) {
 				baseVal, found = int64(r.Val), true
 				break
@@ -874,9 +888,9 @@ func (ex *extractor) tableInRef(seq int, ref trace.Ref, tb *TableDesc) (*ir.Expr
 
 // addrRegExpr resolves the captured pre-execution value reference of an
 // address register of instruction di.
-func (ex *extractor) addrRegExpr(seq int, di *trace.DynInst, r isa.Reg) (*ir.Expr, error) {
+func (ex *extractor) addrRegExpr(seq int, di *trace.Record, r isa.Reg) (*ir.Expr, error) {
 	addr := trace.RegAddr(r)
-	for _, ref := range di.AddrRefs {
+	for _, ref := range ex.tr.AddrRefs(di) {
 		if ref.Space == trace.SpaceReg && ref.Addr == addr && int(ref.Width) == r.Width() {
 			return ex.refExpr(seq, ref)
 		}

@@ -91,32 +91,43 @@ func (r *Result) PhaseDur(p Phase) time.Duration {
 }
 
 // Lift runs the whole pipeline against a target: localize the filter by
-// coverage diffing, capture a detailed instruction trace of it, discover
-// the stage structure from the written regions, rebuild each stage's
-// buffer geometry, extract one expression tree per output sample, and
-// canonicalize the trees.  Lifting succeeds only if, per channel and
-// stage, every output sample canonicalized to one tree — or to a family
-// of predicated trees whose branch guards merge into a single select tree
-// (the paper's test that unrolled, peeled, tiled and branch-diverged
-// copies really collapsed to one stencil).
+// coverage diffing, capture a detailed instruction trace of it (during
+// the localization on-run, or in a run of its own when the on-run
+// captured another candidate), discover the stage structure from the
+// written regions, rebuild each stage's buffer geometry, extract one
+// expression tree per output sample, and canonicalize the trees.  Lifting
+// succeeds only if, per channel and stage, every output sample
+// canonicalized to one tree — or to a family of predicated trees whose
+// branch guards merge into a single select tree (the paper's test that
+// unrolled, peeled, tiled and branch-diverged copies really collapsed to
+// one stencil).
 func Lift(name string, t Target) (*Result, error) {
 	var spans []PhaseTime
 	t0 := time.Now()
-	loc, err := Localize(t)
-	spans = addSpan(spans, PhaseLocalize, time.Since(t0))
+	loc, capt, onDur, err := localize(t, true)
+	spans = addSpan(spans, PhaseLocalize, time.Since(t0)-onDur)
+	spans = addSpan(spans, PhaseTrace, onDur)
 	if err != nil {
 		return nil, err
 	}
 
-	m := vm.NewMachine(t.Prog)
-	t.Setup(m, true)
-	t0 = time.Now()
-	tres, err := m.RunTrace(vm.TraceOptions{
-		FilterEntry:   loc.FilterEntry,
-		MaxSteps:      t.MaxSteps,
-		MaxTraceInsts: t.MaxTraceInsts,
-	})
-	spans = addSpan(spans, PhaseTrace, time.Since(t0))
+	// The on-run captured the first candidate it called.  When that is the
+	// localized filter, its capture is the trace run; otherwise trace the
+	// filter in a run of its own.
+	var tres *vm.TraceResult
+	if capt != nil && capt.Entry == loc.FilterEntry {
+		tres, err = capt.Trace, capt.Err
+	} else {
+		m := vm.NewMachine(t.Prog)
+		t.Setup(m, true)
+		t0 = time.Now()
+		tres, err = m.RunTrace(vm.TraceOptions{
+			FilterEntry:   loc.FilterEntry,
+			MaxSteps:      t.MaxSteps,
+			MaxTraceInsts: t.MaxTraceInsts,
+		})
+		spans = addSpan(spans, PhaseTrace, time.Since(t0))
+	}
 	if err != nil {
 		return nil, reject(PhaseTrace, fmt.Errorf("lift: trace run: %w", err))
 	}

@@ -617,15 +617,16 @@ func TestCorpusTraceDefs(t *testing.T) {
 		}
 		for seq := 0; seq < tr.Len(); seq++ {
 			di := tr.At(seq)
-			for _, r := range di.AddrRefs {
+			for _, r := range tr.AddrRefs(di) {
 				check(seq, r)
 			}
-			for _, ef := range di.Effects {
-				for _, r := range ef.Srcs {
+			effects := tr.Effects(di)
+			for i := range effects {
+				for _, r := range tr.Srcs(&effects[i]) {
 					check(seq, r)
 				}
 			}
-			for _, ef := range di.Effects {
+			for _, ef := range effects {
 				if d := ef.Dst; d.Space != trace.SpaceImm && d.Space != trace.SpaceNone {
 					for b := uint64(0); b < uint64(d.Width); b++ {
 						writer[d.Addr+b] = int32(seq) + 1

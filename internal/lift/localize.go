@@ -9,6 +9,7 @@ package lift
 import (
 	"fmt"
 	"sort"
+	"time"
 
 	"helium/internal/isa"
 	"helium/internal/trace"
@@ -89,6 +90,14 @@ type Localization struct {
 // function is an internal helper (for example a tile worker under a tile
 // driver).
 func Localize(t Target) (*Localization, error) {
+	loc, _, _, err := localize(t, false)
+	return loc, err
+}
+
+// localize is Localize, optionally capturing a filter trace during the
+// on-run (vm.CoverageOptions.Capture).  It also returns the on-run's wall
+// time, which a capturing lift attributes to tracing.
+func localize(t Target, capture bool) (*Localization, *vm.Capture, time.Duration, error) {
 	m := vm.NewMachine(t.Prog)
 
 	t.Setup(m, false)
@@ -99,14 +108,18 @@ func Localize(t Target) (*Localization, error) {
 	if offErr == nil {
 		onOpts.ExcludeBlocks = off.Covered()
 		onOpts.TraceMemory = true
+		onOpts.Capture = capture
+		onOpts.MaxTraceInsts = t.MaxTraceInsts
 	}
 	t.Setup(m, true)
+	t0 := time.Now()
 	on, err := m.RunCoverage(onOpts)
+	onDur := time.Since(t0)
 	if err != nil {
-		return nil, reject(PhaseLocalize, fmt.Errorf("lift: on-run coverage: %w", err))
+		return nil, nil, onDur, reject(PhaseLocalize, fmt.Errorf("lift: on-run coverage: %w", err))
 	}
 	if offErr != nil {
-		return nil, reject(PhaseLocalize, fmt.Errorf("lift: off-run coverage: %w", offErr))
+		return nil, nil, onDur, reject(PhaseLocalize, fmt.Errorf("lift: off-run coverage: %w", offErr))
 	}
 
 	diff := make(map[uint32]bool)
@@ -116,12 +129,12 @@ func Localize(t Target) (*Localization, error) {
 		}
 	}
 	if len(diff) == 0 {
-		return nil, reject(PhaseLocalize, fmt.Errorf("lift: coverage diff is empty: the filter flag changed nothing"))
+		return nil, nil, onDur, reject(PhaseLocalize, fmt.Errorf("lift: coverage diff is empty: the filter flag changed nothing"))
 	}
 
 	candidates := diffCallTargets(on.CallTargets, diff)
 	if len(candidates) == 0 {
-		return nil, reject(PhaseLocalize, fmt.Errorf("lift: no call target found inside the coverage diff"))
+		return nil, nil, onDur, reject(PhaseLocalize, fmt.Errorf("lift: no call target found inside the coverage diff"))
 	}
 	ordered := orderOutermost(candidates, on.CallTargets)
 
@@ -132,7 +145,7 @@ func Localize(t Target) (*Localization, error) {
 		OnBlocks:    len(on.Blocks),
 		OffBlocks:   len(off.Blocks),
 		MemTrace:    on.MemTrace,
-	}, nil
+	}, on.Capture, onDur, nil
 }
 
 // diffCallTargets returns the dynamic call targets that are themselves

@@ -49,9 +49,9 @@ func recognizeReduction(name string, tr *trace.InstTrace, prog *isa.Program, in 
 	elem := 0
 	var initSeqs, updSeqs []redEvent
 	for i := 0; i < tr.Len(); i++ {
-		di := tr.At(i)
-		for e := range di.Effects {
-			ef := &di.Effects[e]
+		effects := tr.Effects(tr.At(i))
+		for e := range effects {
+			ef := &effects[e]
 			d := ef.Dst
 			if d.Space != trace.SpaceMem || d.Addr < base || d.Addr >= base+uint64(size) {
 				continue
@@ -64,8 +64,8 @@ func recognizeReduction(name string, tr *trace.InstTrace, prog *isa.Program, in 
 			if (d.Addr-base)%uint64(elem) != 0 {
 				return nil, nil, 0, fmt.Errorf("lift: accumulator write at %#x is not slot-aligned (element width %d)", d.Addr, elem)
 			}
-			ev := redEvent{seq: di.Seq, slot: int(d.Addr-base) / elem}
-			lastWrite = max(lastWrite, di.Seq)
+			ev := redEvent{seq: i, slot: int(d.Addr-base) / elem}
+			lastWrite = max(lastWrite, i)
 			if ef.Op == trace.OpIdentity {
 				initSeqs = append(initSeqs, ev)
 			} else {
@@ -88,12 +88,11 @@ func recognizeReduction(name string, tr *trace.InstTrace, prog *isa.Program, in 
 	init := make([]uint64, bins)
 	seenInit := make([]bool, bins)
 	for _, ev := range initSeqs {
-		di := tr.At(ev.seq)
-		ef := findEffect(di, base+uint64(ev.slot*elem), uint8(elem))
+		ef := findEffect(tr, tr.At(ev.seq), base+uint64(ev.slot*elem), uint8(elem))
 		if ef == nil {
 			return nil, nil, 0, fmt.Errorf("lift: initializer at seq %d writes only part of slot %d", ev.seq, ev.slot)
 		}
-		c, err := ex.sliceConst(di.Seq, ef.Srcs[0])
+		c, err := ex.sliceConst(ev.seq, tr.Srcs(ef)[0])
 		if err != nil {
 			return nil, nil, 0, fmt.Errorf("lift: slot %d initializer: %w", ev.slot, err)
 		}
@@ -129,18 +128,19 @@ func recognizeReduction(name string, tr *trace.InstTrace, prog *isa.Program, in 
 	updateDelta := func(ev redEvent) error {
 		di := tr.At(ev.seq)
 		slotAddr := base + uint64(ev.slot*elem)
-		ef := findEffect(di, slotAddr, uint8(elem))
+		ef := findEffect(tr, di, slotAddr, uint8(elem))
 		if ef == nil {
 			return fmt.Errorf("lift: update at seq %d writes only part of slot %d", ev.seq, ev.slot)
 		}
-		if ef.Op != trace.OpAdd || len(ef.Srcs) != 2 {
+		srcs := tr.Srcs(ef)
+		if ef.Op != trace.OpAdd || len(srcs) != 2 {
 			return fmt.Errorf("lift: update %v at %#x (seq %d) is %v; only additive accumulation (add/inc into the slot) is liftable",
 				di.Op, di.Addr, ev.seq, ef.Op)
 		}
 		// One operand reads the slot back (the accumulator), the other is
 		// the constant contribution.
 		acc := -1
-		for s, src := range ef.Srcs {
+		for s, src := range srcs {
 			if src.Space == trace.SpaceMem && src.Addr == slotAddr && int(src.Width) == elem {
 				acc = s
 			}
@@ -149,7 +149,7 @@ func recognizeReduction(name string, tr *trace.InstTrace, prog *isa.Program, in 
 			return fmt.Errorf("lift: update %v at %#x (seq %d) does not read its own slot back; not an accumulation",
 				di.Op, di.Addr, ev.seq)
 		}
-		d, err := ex.sliceConst(di.Seq, ef.Srcs[1-acc])
+		d, err := ex.sliceConst(ev.seq, srcs[1-acc])
 		if err != nil {
 			return fmt.Errorf("lift: update at seq %d: %w", ev.seq, err)
 		}
@@ -161,9 +161,7 @@ func recognizeReduction(name string, tr *trace.InstTrace, prog *isa.Program, in 
 	}
 
 	updateIndex := func(ev redEvent) error {
-		di := tr.At(ev.seq)
-		slotAddr := base + uint64(ev.slot*elem)
-		idx, px, py, err := ex.indexExpr(di, slotAddr, base, elem)
+		idx, px, py, err := ex.indexExpr(ev.seq, base+uint64(ev.slot*elem), base, elem)
 		if err != nil {
 			return fmt.Errorf("lift: update at seq %d: %w", ev.seq, err)
 		}
@@ -264,11 +262,12 @@ func (ex *extractor) sliceConst(seq int, ref trace.Ref) (int64, error) {
 }
 
 // indexExpr reconstructs the bin index of one update as an expression
-// over the input pixel that drove it.  The update's memory operand is
+// over the input pixel that drove it, the update being record seq.  The update's memory operand is
 // base + index*scale + disp; with scale equal to the slot width the index
 // register's slice *is* the bin index (plus a constant fold of the base
 // residual), and the absolute input load inside it names the pixel.
-func (ex *extractor) indexExpr(di *trace.DynInst, slotAddr, base uint64, elem int) (idx *ir.Expr, px, py int, err error) {
+func (ex *extractor) indexExpr(seq int, slotAddr, base uint64, elem int) (idx *ir.Expr, px, py int, err error) {
+	di := ex.tr.At(seq)
 	pc, ok := ex.prog.Lookup(di.Addr)
 	if !ok {
 		return nil, 0, 0, fmt.Errorf("update at %#x is not in the program", di.Addr)
@@ -292,7 +291,7 @@ func (ex *extractor) indexExpr(di *trace.DynInst, slotAddr, base uint64, elem in
 	}
 
 	ex.reset()
-	e, err := ex.addrRegExpr(di.Seq, di, memOp.Index)
+	e, err := ex.addrRegExpr(seq, di, memOp.Index)
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -302,7 +301,7 @@ func (ex *extractor) indexExpr(di *trace.DynInst, slotAddr, base uint64, elem in
 	baseVal := int64(0)
 	if memOp.Base != isa.RegNone {
 		found := false
-		for _, ref := range di.AddrRefs {
+		for _, ref := range ex.tr.AddrRefs(di) {
 			if ref.Space == trace.SpaceReg && ref.Addr == trace.RegAddr(memOp.Base) {
 				baseVal, found = int64(ref.Val), true
 				break

@@ -1,8 +1,10 @@
-// Package liftedkernels holds ahead-of-time Go source regenerated from the
-// lifted stencil corpus — the reproduction's analogue of the Halide code
-// Helium emits.  It is standalone: nothing here imports the lifting
-// pipeline, so the package can be vendored into a host application as the
-// drop-in replacement for the legacy filter.
+// Package liftedkernels holds ahead-of-time Go source for the lifted
+// stencil corpus — the reproduction's analogue of the Halide code Helium
+// emits.  kernels.go is regenerated from the lifted corpus by "helium
+// gen"; this file, the runtime those kernels run on, is hand-written.  The
+// package is standalone: nothing here imports the lifting pipeline, so the
+// package can be vendored into a host application as the drop-in
+// replacement for the legacy filter.
 //
 // Values, error positions and error messages are bit-identical to the
 // helium/internal/ir interpreter and register executors — under every

@@ -17,14 +17,13 @@ type refIndex map[uint64][]int
 func newRefIndex(t *InstTrace) refIndex {
 	idx := refIndex{}
 	for s := 0; s < t.Len(); s++ {
-		di := t.At(s)
-		for _, ef := range di.Effects {
+		for _, ef := range t.Effects(t.At(s)) {
 			d := ef.Dst
 			if d.Space == SpaceImm || d.Space == SpaceNone {
 				continue
 			}
 			for b := uint64(0); b < uint64(d.Width); b++ {
-				idx[d.Addr+b] = append(idx[d.Addr+b], di.Seq)
+				idx[d.Addr+b] = append(idx[d.Addr+b], s)
 			}
 		}
 	}
@@ -124,11 +123,11 @@ func TestDefsMatchReference(t *testing.T) {
 					t.Fatalf("seed %d: record %d %s %v: Def = %d, want %d", seed, s, what, r, r.Def, want)
 				}
 			}
-			for _, r := range di.AddrRefs {
+			for _, r := range tr.AddrRefs(di) {
 				check("address ref", r)
 			}
-			for _, ef := range di.Effects {
-				for _, r := range ef.Srcs {
+			for _, ef := range tr.Effects(di) {
+				for _, r := range tr.Srcs(&ef) {
 					check("source", r)
 				}
 			}
@@ -183,11 +182,11 @@ func TestDefLinks(t *testing.T) {
 	defs := func(seq int) []int32 {
 		di := tr.At(seq)
 		var out []int32
-		for _, r := range di.AddrRefs {
+		for _, r := range tr.AddrRefs(di) {
 			out = append(out, r.Def)
 		}
-		for _, ef := range di.Effects {
-			for _, r := range ef.Srcs {
+		for _, ef := range tr.Effects(di) {
+			for _, r := range tr.Srcs(&ef) {
 				out = append(out, r.Def)
 			}
 		}

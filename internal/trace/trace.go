@@ -238,93 +238,176 @@ type SinkFunc func(di DynInst) error
 // Emit calls f(di).
 func (f SinkFunc) Emit(di DynInst) error { return f(di) }
 
-// Storage granularity of an InstTrace.  Records live in fixed-size chunks so
-// that a growing trace never copies what it already holds; effects and refs
-// are packed into arena chunks the records' slices point into.
+// Storage of an InstTrace.  Records, effects and refs live in separate
+// columns of fixed-size chunks of pointer-free values, so a growing trace
+// never copies what it already holds and the garbage collector never scans
+// it.  A record names its effects and address refs, and an effect its
+// sources, by index and count into the columns.
 const (
-	chunkBits  = 10
-	chunkSize  = 1 << chunkBits
-	arenaChunk = 1 << 13
+	colBits  = 12
+	colChunk = 1 << colBits
+
+	// maxColumn is the largest column length at which Emit still accepts a
+	// record: one record reserves at most 256 runs of at most 255 values,
+	// each of which may skip to a fresh chunk, so uint32 indices never
+	// wrap.
+	maxColumn = math.MaxUint32 - 256*(colChunk+255)
 )
+
+// Record is the stored form of a DynInst.  Its sequence number is its
+// position in the trace, and the imported symbol of an external call is
+// the program's: the instruction at Addr carries it.  Its effects and
+// address refs are read through the trace's Effects and AddrRefs.
+type Record struct {
+	// MemAddr is the absolute address of the memory operand, if any.
+	MemAddr uint64
+	// Addr is the static instruction address.
+	Addr uint32
+	// effects and addrRefs index the record's first effect and first
+	// address ref in the trace's columns; nEffects and nAddrRefs count
+	// them.
+	effects, addrRefs   uint32
+	nEffects, nAddrRefs uint8
+	// Op is the ISA operation executed.
+	Op isa.Opcode
+	// Width is the operation width in bytes.
+	Width uint8
+	// HasMem reports whether the instruction had a memory operand.
+	HasMem bool
+	// Taken records the outcome of conditional jumps.
+	Taken bool
+}
+
+// StoredEffect is the stored form of an Effect; its sources are read
+// through the trace's Srcs.
+type StoredEffect struct {
+	Dst   Ref
+	srcs  uint32
+	nSrcs uint8
+	Op    ExprOp
+}
+
+// column is an append-only sequence of values kept in chunks of colChunk.
+type column[T any] struct {
+	chunks [][]T
+	n      int
+}
+
+// reserve appends k zero values as one contiguous run, all in one chunk,
+// and returns the index of the run and the run itself for the caller to
+// fill.  A run that does not fit in the rest of the current chunk starts
+// the next one, leaving the rest unused.
+func (c *column[T]) reserve(k int) (uint32, []T) {
+	if k == 0 {
+		return 0, nil
+	}
+	if off := c.n & (colChunk - 1); off+k > colChunk {
+		c.n += colChunk - off
+	}
+	if c.n>>colBits == len(c.chunks) {
+		c.chunks = append(c.chunks, make([]T, colChunk))
+	}
+	start := c.n
+	c.n += k
+	off := start & (colChunk - 1)
+	return uint32(start), c.chunks[start>>colBits][off : off+k : off+k]
+}
+
+// run returns the k values stored from index start on.
+func (c *column[T]) run(start uint32, k uint8) []T {
+	if k == 0 {
+		return nil
+	}
+	off := int(start & (colChunk - 1))
+	return c.chunks[start>>colBits][off : off+int(k) : off+int(k)]
+}
 
 // InstTrace is a captured instruction trace with every operand linked to
 // its definition.  Records are addressed by sequence number through At;
-// the trace owns deep copies of everything emitted.
+// the trace owns copies of everything emitted.
 type InstTrace struct {
-	chunks  [][]DynInst
-	n       int
-	effects arena[Effect]
-	refs    arena[Ref]
+	recs    column[Record]
+	effects column[StoredEffect]
+	refs    column[Ref]
 
 	// last holds the def of every written byte's latest writer so far.
 	last shadow
 }
 
-// arena hands out capped sub-slices of large shared chunks, so storing a
-// record's effects and refs costs no allocation of its own.  A full chunk
-// is abandoned, not grown: the slices already handed out keep it alive.
-type arena[T any] struct {
-	cur []T
-}
-
-// copyOf returns an arena-owned copy of src (nil when src is empty).
-func (a *arena[T]) copyOf(src []T) []T {
-	if len(src) == 0 {
-		return nil
-	}
-	if cap(a.cur)-len(a.cur) < len(src) {
-		a.cur = make([]T, 0, max(arenaChunk, len(src)))
-	}
-	start := len(a.cur)
-	a.cur = append(a.cur, src...)
-	return a.cur[start:len(a.cur):len(a.cur)]
-}
-
 // Len returns the number of records in the trace.
-func (t *InstTrace) Len() int { return t.n }
+func (t *InstTrace) Len() int { return t.recs.n }
 
 // At returns the record with sequence number seq, 0 <= seq < Len().  The
 // record belongs to the trace: callers may read it but not modify it.
-func (t *InstTrace) At(seq int) *DynInst {
-	if uint(seq) >= uint(t.n) {
-		panic(fmt.Sprintf("trace: record %d out of range [0, %d)", seq, t.n))
+func (t *InstTrace) At(seq int) *Record {
+	if uint(seq) >= uint(t.recs.n) {
+		panic(fmt.Sprintf("trace: record %d out of range [0, %d)", seq, t.recs.n))
 	}
-	return t.at(seq)
+	return &t.recs.chunks[seq>>colBits][seq&(colChunk-1)]
 }
 
-func (t *InstTrace) at(seq int) *DynInst {
-	return &t.chunks[seq>>chunkBits][seq&(chunkSize-1)]
+// Effects returns the effects of a record of the trace, in emission order.
+func (t *InstTrace) Effects(r *Record) []StoredEffect {
+	return t.effects.run(r.effects, r.nEffects)
 }
 
-// Emit appends a deep copy of a record, making InstTrace the
-// batch-collecting Sink.  The copy's source and address refs get their Def
-// links, resolved before the record's own writes are applied, so a ref
-// that the same record also writes (push and pop's ESP, add [m], r) links
-// to the previous writer.  The record is stored at sequence number Len().
+// Srcs returns the source refs of an effect of the trace.
+func (t *InstTrace) Srcs(e *StoredEffect) []Ref { return t.refs.run(e.srcs, e.nSrcs) }
+
+// AddrRefs returns the address refs of a record of the trace.
+func (t *InstTrace) AddrRefs(r *Record) []Ref { return t.refs.run(r.addrRefs, r.nAddrRefs) }
+
+// Emit appends a copy of a record, making InstTrace the batch-collecting
+// Sink.  The copy's source and address refs get their Def links, resolved
+// before the record's own writes are applied, so a ref that the same
+// record also writes (push and pop's ESP, add [m], r) links to the
+// previous writer.  The record is stored at sequence number Len(); its
+// Seq and Sym are not stored.
 func (t *InstTrace) Emit(di DynInst) error {
-	if t.n == math.MaxInt32 {
+	if t.recs.n == math.MaxInt32 {
 		return fmt.Errorf("trace: more than %d records", math.MaxInt32)
 	}
-	if t.n&(chunkSize-1) == 0 {
-		t.chunks = append(t.chunks, make([]DynInst, chunkSize))
+	if t.effects.n > maxColumn || t.refs.n > maxColumn {
+		return fmt.Errorf("trace: more than %d effects or refs", maxColumn)
 	}
-	effects := t.effects.copyOf(di.Effects)
-	for i := range effects {
-		srcs := t.refs.copyOf(effects[i].Srcs)
+	if len(di.Effects) > math.MaxUint8 || len(di.AddrRefs) > math.MaxUint8 {
+		return fmt.Errorf("trace: record at %#x has %d effects and %d address refs, over %d", di.Addr, len(di.Effects), len(di.AddrRefs), math.MaxUint8)
+	}
+	for i := range di.Effects {
+		if n := len(di.Effects[i].Srcs); n > math.MaxUint8 {
+			return fmt.Errorf("trace: effect at %#x has %d sources, over %d", di.Addr, n, math.MaxUint8)
+		}
+	}
+	effIdx, effects := t.effects.reserve(len(di.Effects))
+	for i := range di.Effects {
+		ef := &di.Effects[i]
+		srcIdx, srcs := t.refs.reserve(len(ef.Srcs))
+		copy(srcs, ef.Srcs)
 		t.link(srcs)
-		effects[i].Srcs = srcs
+		effects[i] = StoredEffect{Dst: ef.Dst, srcs: srcIdx, nSrcs: uint8(len(srcs)), Op: ef.Op}
 	}
-	di.Effects = effects
-	di.AddrRefs = t.refs.copyOf(di.AddrRefs)
-	t.link(di.AddrRefs)
-	def := int32(t.n + 1)
+	refIdx, addrRefs := t.refs.reserve(len(di.AddrRefs))
+	copy(addrRefs, di.AddrRefs)
+	t.link(addrRefs)
+	def := int32(t.recs.n + 1)
 	for i := range effects {
 		if d := &effects[i].Dst; d.Space != SpaceImm && d.Space != SpaceNone {
 			t.last.set(d.Addr, d.Width, def)
 		}
 	}
-	*t.at(t.n) = di
-	t.n++
+	_, rec := t.recs.reserve(1)
+	rec[0] = Record{
+		MemAddr:   di.MemAddr,
+		Addr:      di.Addr,
+		effects:   effIdx,
+		addrRefs:  refIdx,
+		Op:        di.Op,
+		Width:     di.Width,
+		nEffects:  uint8(len(effects)),
+		nAddrRefs: uint8(len(addrRefs)),
+		HasMem:    di.HasMem,
+		Taken:     di.Taken,
+	}
 	return nil
 }
 

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"unsafe"
 
@@ -92,6 +94,102 @@ func TestRefOverlapLogic(t *testing.T) {
 func TestRefSize(t *testing.T) {
 	if got := unsafe.Sizeof(Ref{}); got != 24 {
 		t.Errorf("unsafe.Sizeof(Ref{}) = %d, want 24", got)
+	}
+}
+
+// TestStoredTypesHoldNoPointers pins the trace's storage as pointer-free:
+// no field of a stored record, effect or ref, however deeply nested, is a
+// pointer, slice, string, map, interface, channel or function, so the
+// garbage collector neither scans nor write-barriers a trace.
+func TestStoredTypesHoldNoPointers(t *testing.T) {
+	var check func(path string, typ reflect.Type)
+	check = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Float32, reflect.Float64:
+		case reflect.Array:
+			check(path+"[]", typ.Elem())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				check(path+"."+f.Name, f.Type)
+			}
+		default:
+			t.Errorf("%s is a %v: stored trace types must hold no pointers", path, typ.Kind())
+		}
+	}
+	for _, v := range []any{Record{}, StoredEffect{}, Ref{}} {
+		typ := reflect.TypeOf(v)
+		check(typ.Name(), typ)
+	}
+}
+
+// TestStoredSizes pins a stored record and a stored effect at 32 bytes at
+// most: half a cache line each.
+func TestStoredSizes(t *testing.T) {
+	if got := unsafe.Sizeof(Record{}); got > 32 {
+		t.Errorf("unsafe.Sizeof(Record{}) = %d, want at most 32", got)
+	}
+	if got := unsafe.Sizeof(StoredEffect{}); got > 32 {
+		t.Errorf("unsafe.Sizeof(StoredEffect{}) = %d, want at most 32", got)
+	}
+}
+
+// TestStoredRecordsRoundTrip emits random records, enough for every
+// column to cross several chunk boundaries, and reads each one back
+// through the accessors: every field, effect, source and address ref must
+// be what was emitted, apart from the Def links the trace fills in.
+func TestStoredRecordsRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	tr := &InstTrace{}
+	var want []DynInst
+	for s := 0; s < 3*colChunk; s++ {
+		di := DynInst{
+			Seq: s, Addr: rng.Uint32(), Op: isa.Opcode(rng.Intn(isa.NumOpcodes)), Width: uint8(rng.Intn(9)),
+			MemAddr: rng.Uint64(), HasMem: rng.Intn(2) == 0, Taken: rng.Intn(2) == 0,
+			AddrRefs: randomRefs(rng, 3),
+		}
+		for e := rng.Intn(5); e > 0; e-- {
+			di.Effects = append(di.Effects, Effect{Dst: randomRef(rng), Op: ExprOp(rng.Intn(int(OpSelectSet) + 1)), Srcs: randomRefs(rng, 4)})
+		}
+		if err := tr.Emit(di); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, di)
+	}
+	if tr.Len() != len(want) {
+		t.Fatalf("Len = %d, want %d", tr.Len(), len(want))
+	}
+	noDef := func(refs []Ref) []Ref {
+		out := make([]Ref, 0, len(refs))
+		for _, r := range refs {
+			r.Def = 0
+			out = append(out, r)
+		}
+		return out
+	}
+	for s, w := range want {
+		r := tr.At(s)
+		if r.Addr != w.Addr || r.Op != w.Op || r.Width != w.Width || r.MemAddr != w.MemAddr || r.HasMem != w.HasMem || r.Taken != w.Taken {
+			t.Fatalf("record %d = %+v, want %+v", s, *r, w)
+		}
+		if got := noDef(tr.AddrRefs(r)); !reflect.DeepEqual(got, noDef(w.AddrRefs)) {
+			t.Fatalf("record %d address refs = %v, want %v", s, got, w.AddrRefs)
+		}
+		effs := tr.Effects(r)
+		if len(effs) != len(w.Effects) {
+			t.Fatalf("record %d has %d effects, want %d", s, len(effs), len(w.Effects))
+		}
+		for i := range effs {
+			ef, we := &effs[i], w.Effects[i]
+			if ef.Dst != we.Dst || ef.Op != we.Op {
+				t.Fatalf("record %d effect %d = %v %v, want %v %v", s, i, ef.Op, ef.Dst, we.Op, we.Dst)
+			}
+			if got := noDef(tr.Srcs(ef)); !reflect.DeepEqual(got, noDef(we.Srcs)) {
+				t.Fatalf("record %d effect %d sources = %v, want %v", s, i, got, we.Srcs)
+			}
+		}
 	}
 }
 

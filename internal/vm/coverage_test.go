@@ -59,8 +59,10 @@ func callProgram() *isa.Program {
 // directly, for every subset of callProgram's blocks.  The reference steps
 // the machine by hand, attributing each step to the block of the last
 // leader executed; an excluded block must drop exactly its own memory
-// accesses, call targets and the edges that touch it, and still count in
-// Blocks.
+// accesses and call targets, and still count in Blocks.  Every run also
+// captures: the capture must start at the first direct call from an
+// instrumented block into a block neither excluded nor executed yet, and
+// equal a trace run at that entry record for record.
 func TestCoverageExcludeBlocks(t *testing.T) {
 	p := callProgram()
 	leaders := p.Leaders()
@@ -69,10 +71,11 @@ func TestCoverageExcludeBlocks(t *testing.T) {
 		t.Fatalf("callProgram has %d blocks, want 9", len(blocks))
 	}
 
+	// call is a direct call: the call site and the callee.
+	type call struct{ site, callee uint32 }
 	type step struct {
 		block    uint32
-		edge     *Edge // the edge entering block, when this step begins it
-		call     *Edge // From: call site, To: callee, for a direct call
+		call     *call
 		accesses []trace.MemAccess
 	}
 	var steps []step
@@ -83,15 +86,12 @@ func TestCoverageExcludeBlocks(t *testing.T) {
 		var s step
 		if leaders[m.eip] {
 			wantBlocks[m.eip]++
-			if len(steps) > 0 {
-				s.edge = &Edge{From: cur, To: m.eip}
-			}
 			cur = m.eip
 		}
 		s.block = cur
 		idx, _ := p.Lookup(m.eip)
 		if in := p.Insts[idx]; in.Op == isa.CALL && in.Sym == "" {
-			s.call = &Edge{From: in.Addr, To: in.Target}
+			s.call = &call{site: in.Addr, callee: in.Target}
 		}
 		rec := &stepRecord{}
 		if err := m.step(rec); err != nil {
@@ -102,6 +102,7 @@ func TestCoverageExcludeBlocks(t *testing.T) {
 	}
 	wantSteps := m.Steps()
 
+	captures := 0
 	for mask := 0; mask < 1<<len(blocks); mask++ {
 		excl := map[uint32]bool{}
 		for i, b := range blocks {
@@ -109,35 +110,34 @@ func TestCoverageExcludeBlocks(t *testing.T) {
 				excl[b] = true
 			}
 		}
-		wantEdges := map[Edge]uint64{}
 		wantCalls := map[uint32]map[uint32]bool{}
 		var wantMem []trace.MemAccess
+		var wantEntry *uint32
+		executed := map[uint32]bool{}
 		for _, s := range steps {
-			if s.edge != nil && !excl[s.edge.From] && !excl[s.edge.To] {
-				wantEdges[*s.edge]++
-			}
+			executed[s.block] = true
 			if excl[s.block] {
 				continue
 			}
-			if s.call != nil {
-				if wantCalls[s.call.From] == nil {
-					wantCalls[s.call.From] = map[uint32]bool{}
+			if c := s.call; c != nil {
+				if wantCalls[c.site] == nil {
+					wantCalls[c.site] = map[uint32]bool{}
 				}
-				wantCalls[s.call.From][s.call.To] = true
+				wantCalls[c.site][c.callee] = true
+				if wantEntry == nil && !excl[c.callee] && !executed[c.callee] {
+					wantEntry = &c.callee
+				}
 			}
 			wantMem = append(wantMem, s.accesses...)
 		}
 
 		m.Reset()
-		got, err := m.RunCoverage(CoverageOptions{ExcludeBlocks: excl, TraceMemory: true})
+		got, err := m.RunCoverage(CoverageOptions{ExcludeBlocks: excl, TraceMemory: true, Capture: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got.Blocks, wantBlocks) || got.Steps != wantSteps {
 			t.Errorf("exclude %v: Blocks %v, Steps %d; want %v, %d", excl, got.Blocks, got.Steps, wantBlocks, wantSteps)
-		}
-		if !reflect.DeepEqual(got.Edges, wantEdges) {
-			t.Errorf("exclude %v: Edges %v, want %v", excl, got.Edges, wantEdges)
 		}
 		if !reflect.DeepEqual(got.CallTargets, wantCalls) {
 			t.Errorf("exclude %v: CallTargets %v, want %v", excl, got.CallTargets, wantCalls)
@@ -145,5 +145,54 @@ func TestCoverageExcludeBlocks(t *testing.T) {
 		if !reflect.DeepEqual(got.MemTrace, wantMem) {
 			t.Errorf("exclude %v: MemTrace %v, want %v", excl, got.MemTrace, wantMem)
 		}
+
+		switch {
+		case wantEntry == nil && got.Capture != nil:
+			t.Errorf("exclude %v: captured at %#x, want no capture", excl, got.Capture.Entry)
+		case wantEntry != nil && got.Capture == nil:
+			t.Errorf("exclude %v: no capture, want one at %#x", excl, *wantEntry)
+		case wantEntry != nil && got.Capture.Entry != *wantEntry:
+			t.Errorf("exclude %v: captured at %#x, want %#x", excl, got.Capture.Entry, *wantEntry)
+		case wantEntry != nil:
+			captures++
+			m.Reset()
+			var want []trace.DynInst
+			sr, serr := m.RunTraceStream(TraceOptions{FilterEntry: *wantEntry}, trace.SinkFunc(func(di trace.DynInst) error {
+				want = append(want, deepCopy(di))
+				return nil
+			}))
+			sameCapture(t, p, got.Capture, sr, serr, want)
+		}
 	}
+	if captures == 0 {
+		t.Error("no exclusion mask captured a trace")
+	}
+}
+
+// TestCaptureBudget checks that a capture over its trace budget fails
+// with the trace run's error while the coverage run itself completes.
+func TestCaptureBudget(t *testing.T) {
+	p := callProgram()
+	m := NewMachine(p)
+	full, err := m.RunCoverage(CoverageOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Reset()
+	got, err := m.RunCoverage(CoverageOptions{ExcludeBlocks: map[uint32]bool{}, Capture: true, MaxTraceInsts: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Blocks, full.Blocks) || got.Steps != full.Steps {
+		t.Errorf("a failed capture changed coverage: Blocks %v, Steps %d; want %v, %d", got.Blocks, got.Steps, full.Blocks, full.Steps)
+	}
+	if got.Capture == nil {
+		t.Fatal("no capture")
+	}
+	m.Reset()
+	sr, serr := m.RunTraceStream(TraceOptions{FilterEntry: got.Capture.Entry, MaxTraceInsts: 2}, trace.SinkFunc(func(trace.DynInst) error { return nil }))
+	if serr == nil {
+		t.Fatal("the trace run fit its budget of 2 records")
+	}
+	sameCapture(t, p, got.Capture, sr, serr, nil)
 }

@@ -98,7 +98,7 @@ func FuzzVM(f *testing.F) {
 			want = append(want, deepCopy(di))
 			return kept.Emit(di)
 		}))
-		sameRecords(t, "InstTrace fed by the stream", kept, want)
+		sameRecords(t, "InstTrace fed by the stream", p, kept, want)
 
 		m.Reset()
 		res, err := m.RunTrace(opts)
@@ -106,9 +106,48 @@ func FuzzVM(f *testing.F) {
 			t.Fatalf("RunTrace error %v, RunTraceStream error %v", err, serr)
 		}
 		if err == nil {
-			sameRecords(t, "RunTrace", res.Trace, want)
+			sameRecords(t, "RunTrace", p, res.Trace, want)
 		}
+
+		// A capturing coverage run with nothing excluded must capture
+		// exactly what a trace run at the captured entry streams.
+		m.Reset()
+		cov, err := m.RunCoverage(CoverageOptions{MaxSteps: budget, ExcludeBlocks: map[uint32]bool{}, Capture: true, MaxTraceInsts: budget})
+		if err != nil || cov.Capture == nil {
+			return
+		}
+		opts.FilterEntry = cov.Capture.Entry
+		m.Reset()
+		want = want[:0]
+		sr, serr := m.RunTraceStream(opts, trace.SinkFunc(func(di trace.DynInst) error {
+			want = append(want, deepCopy(di))
+			return nil
+		}))
+		sameCapture(t, p, cov.Capture, sr, serr, want)
 	})
+}
+
+// sameCapture demands that a capture equals the trace run streaming want
+// at its entry: the same error, or the same records, dump and counts.
+func sameCapture(t *testing.T, p *isa.Program, c *Capture, sr *StreamResult, serr error, want []trace.DynInst) {
+	t.Helper()
+	if (c.Err == nil) != (serr == nil) || c.Err != nil && c.Err.Error() != serr.Error() {
+		t.Fatalf("capture at %#x: error %v, trace run error %v", c.Entry, c.Err, serr)
+	}
+	if serr != nil {
+		if c.Trace != nil {
+			t.Fatalf("capture at %#x failed with %v but kept a trace", c.Entry, c.Err)
+		}
+		return
+	}
+	sameRecords(t, "capture", p, c.Trace.Trace, want)
+	if !reflect.DeepEqual(c.Trace.Dump, sr.Dump) {
+		t.Fatalf("capture at %#x: dump of %d pages, trace run dumped %d", c.Entry, len(c.Trace.Dump.Pages), len(sr.Dump.Pages))
+	}
+	if c.Trace.FilterCalls != sr.FilterCalls || c.Trace.Steps != sr.Steps || c.Trace.Trace.Len() != sr.Insts {
+		t.Fatalf("capture at %#x: %d filter calls, %d steps, %d records; trace run %d, %d, %d",
+			c.Entry, c.Trace.FilterCalls, c.Trace.Steps, c.Trace.Trace.Len(), sr.FilterCalls, sr.Steps, sr.Insts)
+	}
 }
 
 // sameRecords demands that tr holds exactly the records of want, apart
@@ -116,14 +155,14 @@ func FuzzVM(f *testing.F) {
 // last earlier record that wrote any byte of its ref.  The expected links
 // come from replaying the records into a plain byte-to-writer map, which
 // keeps the check linear in the trace so the fuzzer's throughput holds.
-func sameRecords(t *testing.T, what string, tr *trace.InstTrace, want []trace.DynInst) {
+func sameRecords(t *testing.T, what string, p *isa.Program, tr *trace.InstTrace, want []trace.DynInst) {
 	t.Helper()
 	if tr.Len() != len(want) {
 		t.Fatalf("%s kept %d records, the stream emitted %d", what, tr.Len(), len(want))
 	}
 	writer := map[uint64]int32{}
 	for i := range want {
-		got := deepCopy(*tr.At(i))
+		got := stored(tr, p, i)
 		forEachRef(&got, func(r *trace.Ref) {
 			var def int32
 			if r.Space != trace.SpaceImm && r.Space != trace.SpaceNone {

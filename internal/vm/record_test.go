@@ -128,6 +128,24 @@ func deepCopy(di trace.DynInst) trace.DynInst {
 	return out
 }
 
+// stored reads record seq of tr back in streaming form through the
+// trace's accessors: Seq is its position and Sym the program's symbol for
+// the instruction at its address.
+func stored(tr *trace.InstTrace, p *isa.Program, seq int) trace.DynInst {
+	r := tr.At(seq)
+	di := trace.DynInst{Seq: seq, Addr: r.Addr, Op: r.Op, Width: r.Width, MemAddr: r.MemAddr, HasMem: r.HasMem, Taken: r.Taken}
+	if pc, ok := p.Lookup(r.Addr); ok {
+		di.Sym = p.Insts[pc].Sym
+	}
+	effects := tr.Effects(r)
+	for i := range effects {
+		ef := &effects[i]
+		di.Effects = append(di.Effects, trace.Effect{Dst: ef.Dst, Op: ef.Op, Srcs: tr.Srcs(ef)})
+	}
+	di.AddrRefs = tr.AddrRefs(r)
+	return deepCopy(di)
+}
+
 var recordCases = []recordCase{
 	{
 		name: "mov-load-base-index-disp",
@@ -425,7 +443,7 @@ func TestRecordMemoryOperands(t *testing.T) {
 			}
 			var batch []trace.DynInst
 			for i := 0; i < res.Trace.Len(); i++ {
-				batch = append(batch, *res.Trace.At(i))
+				batch = append(batch, stored(res.Trace, p, i))
 			}
 			got, err := pick(batch)
 			if err != nil {
@@ -471,11 +489,12 @@ func TestFloatStoreDecodesStoredBits(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunTrace: %v", err)
 	}
-	ef := res.Trace.At(1).Effects[0]
+	tr := res.Trace
+	ef := &tr.Effects(tr.At(1))[0]
 	if got, want := ef.Dst.FVal(), f32(0.1); got != want {
 		t.Errorf("fst dword destination decodes to %v, want the rounded %v", got, want)
 	}
-	if got := ef.Srcs[0].FVal(); got != 0.1 {
+	if got := tr.Srcs(ef)[0].FVal(); got != 0.1 {
 		t.Errorf("fst source register decodes to %v, want 0.1", got)
 	}
 }

@@ -20,32 +20,35 @@ var fpTruncateTrace = faultpoint.Register("trace.truncate",
 // fpTruncateAfter is the record count at which the armed faultpoint fires.
 const fpTruncateAfter = 256
 
-// Edge is a dynamic control-flow edge between two basic block leaders.
-type Edge struct {
-	From, To uint32
-}
-
 // CoverageOptions configures an instrumented coverage run (paper section
 // 3.1).
 type CoverageOptions struct {
 	// MaxSteps bounds the number of executed instructions (0 = default).
 	MaxSteps uint64
 	// ExcludeBlocks lists block leaders left uninstrumented: their call
-	// targets, edges and memory accesses are not collected, although they
-	// still count in Blocks.  Code localization's on-run passes the off-run's
+	// targets and memory accesses are not collected, although they still
+	// count in Blocks.  Code localization's on-run passes the off-run's
 	// coverage here, so it instruments exactly the coverage difference.  A
 	// nil map instruments every block.
 	ExcludeBlocks map[uint32]bool
 	// TraceMemory collects a memory access trace for instrumented blocks.
 	TraceMemory bool
+	// Capture traces a filter candidate during the run.  The first direct
+	// call from an instrumented block into a block outside ExcludeBlocks
+	// that the run has not executed yet names the candidate; from that
+	// call on the run captures exactly what RunTrace would with the
+	// candidate as FilterEntry.  Localization's on-run sets it, so a lift
+	// whose filter is that candidate needs no separate trace run.
+	Capture bool
+	// MaxTraceInsts bounds the captured dynamic instructions (0 =
+	// unlimited).
+	MaxTraceInsts int
 }
 
 // CoverageResult is the outcome of a coverage run.
 type CoverageResult struct {
 	// Blocks maps every covered basic block leader to its execution count.
 	Blocks map[uint32]uint64
-	// Edges maps predecessor edges between instrumented blocks to counts.
-	Edges map[Edge]uint64
 	// CallTargets maps call instruction addresses to the set of dynamic
 	// callee entry addresses.
 	CallTargets map[uint32]map[uint32]bool
@@ -54,6 +57,21 @@ type CoverageResult struct {
 	MemTrace []trace.MemAccess
 	// Steps is the number of instructions executed.
 	Steps uint64
+	// Capture is the trace captured under CoverageOptions.Capture, or nil
+	// when no call named a candidate.
+	Capture *Capture
+}
+
+// Capture is a filter trace taken during a coverage run.
+type Capture struct {
+	// Entry is the candidate filter entry the capture traced.
+	Entry uint32
+	// Trace is what RunTrace with FilterEntry Entry returns on the same
+	// run; nil when Err is set.
+	Trace *TraceResult
+	// Err is the error RunTrace would have failed with (the trace budget,
+	// an injected truncation).  The coverage run itself went on.
+	Err error
 }
 
 // Covered returns the set of covered block leaders.
@@ -66,8 +84,8 @@ func (r *CoverageResult) Covered() map[uint32]bool {
 }
 
 // RunCoverage executes the program from its current state until it halts,
-// collecting basic block coverage, dynamic control-flow edges, call targets
-// and (optionally) a memory trace.
+// collecting basic block coverage, call targets, (optionally) a memory
+// trace and (optionally) a capture of the first filter candidate.
 func (m *Machine) RunCoverage(opts CoverageOptions) (*CoverageResult, error) {
 	maxSteps := opts.MaxSteps
 	if maxSteps == 0 {
@@ -84,13 +102,13 @@ func (m *Machine) RunCoverage(opts CoverageOptions) (*CoverageResult, error) {
 	}
 	res := &CoverageResult{
 		Blocks:      make(map[uint32]uint64),
-		Edges:       make(map[Edge]uint64),
 		CallTargets: make(map[uint32]map[uint32]bool),
 	}
 	rec := &stepRecord{}
-	var curBlock uint32
-	var haveBlock bool
 	curInstrumented := true
+	// tr is the capture's tracer once a call has named the candidate.
+	var tr *tracer
+	var captured *trace.InstTrace
 
 	for !m.halted {
 		if m.steps >= maxSteps {
@@ -100,13 +118,9 @@ func (m *Machine) RunCoverage(opts CoverageOptions) (*CoverageResult, error) {
 		if idx < 0 {
 			return nil, m.faultf("no instruction at eip")
 		}
-		if eip := m.eip; isLeader[idx] {
-			res.Blocks[eip]++
-			instrumented := !excluded[idx]
-			if instrumented && haveBlock && curInstrumented {
-				res.Edges[Edge{From: curBlock, To: eip}]++
-			}
-			curBlock, haveBlock, curInstrumented = eip, true, instrumented
+		if isLeader[idx] {
+			res.Blocks[m.eip]++
+			curInstrumented = !excluded[idx]
 		}
 		in := &m.Prog.Insts[idx]
 		if in.Op == isa.CALL && in.Sym == "" && curInstrumented {
@@ -114,21 +128,36 @@ func (m *Machine) RunCoverage(opts CoverageOptions) (*CoverageResult, error) {
 				res.CallTargets[in.Addr] = make(map[uint32]bool)
 			}
 			res.CallTargets[in.Addr][in.Target] = true
+			if opts.Capture && res.Capture == nil && !opts.ExcludeBlocks[in.Target] && res.Blocks[in.Target] == 0 {
+				res.Capture = &Capture{Entry: in.Target}
+				captured = &trace.InstTrace{}
+				tr = newTracer(m, TraceOptions{FilterEntry: in.Target, MaxTraceInsts: opts.MaxTraceInsts}, captured)
+			}
 		}
 
+		traced := tr != nil && tr.enter()
 		var r *stepRecord
-		if opts.TraceMemory && curInstrumented {
+		if traced || opts.TraceMemory && curInstrumented {
 			rec.reset()
 			r = rec
 		}
 		if err := m.step(r); err != nil {
 			return nil, err
 		}
-		if r != nil && len(r.accesses) > 0 {
+		if opts.TraceMemory && curInstrumented {
 			res.MemTrace = append(res.MemTrace, r.accesses...)
+		}
+		if traced {
+			if err := tr.emit(r); err != nil {
+				res.Capture.Err, tr = err, nil
+			}
 		}
 	}
 	res.Steps = m.steps
+	if tr != nil {
+		sr := tr.finish()
+		res.Capture.Trace = &TraceResult{Trace: captured, Dump: sr.Dump, FilterCalls: sr.FilterCalls, Steps: sr.Steps}
+	}
 	return res, nil
 }
 
@@ -175,6 +204,100 @@ type TraceResult struct {
 	Steps uint64
 }
 
+// tracer is the filter tracing rule, shared by trace runs and capturing
+// coverage runs.  Tracing starts whenever the machine reaches the filter
+// entry and stops when the call depth falls below the entry's; every
+// traced step goes to the sink as one record.  The memory dump takes read
+// pages eagerly, before a later write can disturb them, and written pages
+// at each filter exit and at the end of the run.
+type tracer struct {
+	m        *Machine
+	entry    uint32
+	maxInsts int
+	sink     trace.Sink
+
+	active  bool
+	depth   int
+	res     StreamResult
+	written map[uint64]bool
+}
+
+func newTracer(m *Machine, opts TraceOptions, sink trace.Sink) *tracer {
+	return &tracer{
+		m: m, entry: opts.FilterEntry, maxInsts: opts.MaxTraceInsts, sink: sink,
+		res:     StreamResult{Dump: trace.NewMemDump(pageSize)},
+		written: make(map[uint64]bool),
+	}
+}
+
+// enter reports whether the next step is traced, entering the filter when
+// the machine stands at its entry.
+func (t *tracer) enter() bool {
+	if !t.active && t.m.eip == t.entry {
+		t.active = true
+		t.depth = t.m.callDepth
+		t.res.FilterCalls++
+	}
+	return t.active
+}
+
+// emit hands a traced step's record to the sink and applies the trace's
+// bounds, the dump rule and the filter exit.
+func (t *tracer) emit(r *stepRecord) error {
+	di := trace.DynInst{
+		Seq:     t.res.Insts,
+		Addr:    r.instAddr,
+		Op:      r.op,
+		Width:   r.width,
+		Taken:   r.taken,
+		Sym:     r.sym,
+		MemAddr: r.memAddr,
+		HasMem:  r.hasMem,
+	}
+	if n := len(r.effects); n > 0 {
+		di.Effects = r.effects[:n:n]
+	}
+	if n := len(r.addrRefs); n > 0 {
+		di.AddrRefs = r.addrRefs[:n:n]
+	}
+	if err := t.sink.Emit(di); err != nil {
+		return err
+	}
+	t.res.Insts++
+	if t.maxInsts > 0 && t.res.Insts > t.maxInsts {
+		return fmt.Errorf("vm: trace exceeded %d instructions", t.maxInsts)
+	}
+	if t.res.Insts == fpTruncateAfter && faultpoint.Enabled(fpTruncateTrace) {
+		return fmt.Errorf("vm: trace capture aborted after %d records (injected fault %s)", t.res.Insts, fpTruncateTrace)
+	}
+	for _, acc := range r.accesses {
+		page := acc.Addr &^ uint64(pageSize-1)
+		if acc.Write {
+			t.written[page] = true
+		} else if _, ok := t.res.Dump.Pages[page]; !ok {
+			t.res.Dump.Pages[page] = t.m.Mem.PageBytes(uint32(page))
+		}
+	}
+	if t.m.callDepth < t.depth {
+		t.active = false
+		t.dumpWritten()
+	}
+	return nil
+}
+
+func (t *tracer) dumpWritten() {
+	for page := range t.written {
+		t.res.Dump.Pages[page] = t.m.Mem.PageBytes(uint32(page))
+	}
+}
+
+// finish completes the dump at the end of the run and returns the totals.
+func (t *tracer) finish() *StreamResult {
+	t.dumpWritten()
+	t.res.Steps = t.m.steps
+	return &t.res
+}
+
 // RunTraceStream executes the program from its current state until it
 // halts, streaming one trace.DynInst per dynamic instruction executed
 // inside the filter function (including its callees) to sink.  The memory
@@ -189,83 +312,27 @@ func (m *Machine) RunTraceStream(opts TraceOptions, sink trace.Sink) (*StreamRes
 	if maxSteps == 0 {
 		maxSteps = DefaultMaxSteps
 	}
-	res := &StreamResult{
-		Dump: trace.NewMemDump(pageSize),
-	}
-	writtenPages := make(map[uint64]bool)
-	dumpWritten := func() {
-		for page := range writtenPages {
-			res.Dump.Pages[page] = m.Mem.PageBytes(uint32(page))
-		}
-	}
-
+	tr := newTracer(m, opts, sink)
 	rec := &stepRecord{}
-	tracing := false
-	entryDepth := 0
-
 	for !m.halted {
 		if m.steps >= maxSteps {
 			return nil, fmt.Errorf("vm: %s exceeded %d steps during trace run", m.Prog.Name, maxSteps)
 		}
-		if !tracing && m.eip == opts.FilterEntry {
-			tracing = true
-			entryDepth = m.callDepth
-			res.FilterCalls++
-		}
-		var r *stepRecord
-		if tracing {
-			rec.reset()
-			r = rec
-		}
-		if err := m.step(r); err != nil {
-			return nil, err
-		}
-		if r != nil {
-			di := trace.DynInst{
-				Seq:     res.Insts,
-				Addr:    r.instAddr,
-				Op:      r.op,
-				Width:   r.width,
-				Taken:   r.taken,
-				Sym:     r.sym,
-				MemAddr: r.memAddr,
-				HasMem:  r.hasMem,
-			}
-			if n := len(r.effects); n > 0 {
-				di.Effects = r.effects[:n:n]
-			}
-			if n := len(r.addrRefs); n > 0 {
-				di.AddrRefs = r.addrRefs[:n:n]
-			}
-			if err := sink.Emit(di); err != nil {
+		if !tr.enter() {
+			if err := m.step(nil); err != nil {
 				return nil, err
 			}
-			res.Insts++
-			if opts.MaxTraceInsts > 0 && res.Insts > opts.MaxTraceInsts {
-				return nil, fmt.Errorf("vm: trace exceeded %d instructions", opts.MaxTraceInsts)
-			}
-			if res.Insts == fpTruncateAfter && faultpoint.Enabled(fpTruncateTrace) {
-				return nil, fmt.Errorf("vm: trace capture aborted after %d records (injected fault %s)", res.Insts, fpTruncateTrace)
-			}
-			// Memory dump: read pages are captured eagerly (before any later
-			// write can disturb them), written pages at filter exit.
-			for _, acc := range r.accesses {
-				page := acc.Addr &^ uint64(pageSize-1)
-				if acc.Write {
-					writtenPages[page] = true
-				} else if _, ok := res.Dump.Pages[page]; !ok {
-					res.Dump.Pages[page] = m.Mem.PageBytes(uint32(page))
-				}
-			}
-			if tracing && m.callDepth < entryDepth {
-				tracing = false
-				dumpWritten()
-			}
+			continue
+		}
+		rec.reset()
+		if err := m.step(rec); err != nil {
+			return nil, err
+		}
+		if err := tr.emit(rec); err != nil {
+			return nil, err
 		}
 	}
-	dumpWritten()
-	res.Steps = m.steps
-	return res, nil
+	return tr.finish(), nil
 }
 
 // RunTrace is the batch form of RunTraceStream: it collects the streamed
