@@ -15,7 +15,7 @@ import (
 // pinned kernel and counts are that pipeline's.
 func TestLiftFallsBackToTraceRun(t *testing.T) {
 	tgt, helper := fallbackTarget()
-	loc, capt, _, err := localize(tgt, true)
+	loc, capt, _, err := localize(tgt)
 	if err != nil {
 		t.Fatal(err)
 	}

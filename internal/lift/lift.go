@@ -104,7 +104,7 @@ func (r *Result) PhaseDur(p Phase) time.Duration {
 func Lift(name string, t Target) (*Result, error) {
 	var spans []PhaseTime
 	t0 := time.Now()
-	loc, capt, onDur, err := localize(t, true)
+	loc, capt, onDur, err := localize(t)
 	spans = addSpan(spans, PhaseLocalize, time.Since(t0)-onDur)
 	spans = addSpan(spans, PhaseTrace, onDur)
 	if err != nil {

@@ -88,16 +88,17 @@ type Localization struct {
 // targets.  The filter function is the outermost difference call target: a
 // difference target whose call sites all lie inside another difference
 // function is an internal helper (for example a tile worker under a tile
-// driver).
+// driver).  The on-run also captures the first candidate's trace, which
+// Lift uses and Localize discards.
 func Localize(t Target) (*Localization, error) {
-	loc, _, _, err := localize(t, false)
+	loc, _, _, err := localize(t)
 	return loc, err
 }
 
-// localize is Localize, optionally capturing a filter trace during the
-// on-run (vm.CoverageOptions.Capture).  It also returns the on-run's wall
-// time, which a capturing lift attributes to tracing.
-func localize(t Target, capture bool) (*Localization, *vm.Capture, time.Duration, error) {
+// localize is Localize that also returns the filter trace the on-run
+// captured (vm.CoverageOptions.Capture) and the on-run's wall time, which
+// Lift attributes to tracing.
+func localize(t Target) (*Localization, *vm.Capture, time.Duration, error) {
 	m := vm.NewMachine(t.Prog)
 
 	t.Setup(m, false)
@@ -108,7 +109,7 @@ func localize(t Target, capture bool) (*Localization, *vm.Capture, time.Duration
 	if offErr == nil {
 		onOpts.ExcludeBlocks = off.Covered()
 		onOpts.TraceMemory = true
-		onOpts.Capture = capture
+		onOpts.Capture = true
 		onOpts.MaxTraceInsts = t.MaxTraceInsts
 	}
 	t.Setup(m, true)

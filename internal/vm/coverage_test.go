@@ -55,25 +55,68 @@ func callProgram() *isa.Program {
 	return p
 }
 
+// zeroCallProgram calls a function at address 0 twice, from two blocks.
+// Program.Leaders skips direct targets equal to 0, so the callee is not a
+// block leader and Blocks never counts it: whether a capture may start at
+// the second call depends on the first call having run.
+func zeroCallProgram() *isa.Program {
+	const (
+		g     uint32 = 0
+		entry        = g + 2*4
+	)
+	p := &isa.Program{Name: "zerocalls", Entry: entry}
+	body := []isa.Inst{
+		// g:
+		{Op: isa.MOV, Dst: isa.Mem(isa.ESI, 0, 4), Src: isa.RegOp(isa.EDI)},
+		{Op: isa.RET},
+		// entry:
+		{Op: isa.MOV, Dst: isa.RegOp(isa.ESI), Src: isa.ImmOp(0x3000)},
+		{Op: isa.CALL, Target: g},
+		{Op: isa.INC, Dst: isa.RegOp(isa.EDI)},
+		{Op: isa.CALL, Target: g},
+		{Op: isa.MOV, Dst: isa.Mem(isa.ESI, 4, 4), Src: isa.RegOp(isa.EDI)},
+		{Op: isa.RET},
+	}
+	for i, in := range body {
+		in.Addr = g + uint32(i)*4
+		p.Insts = append(p.Insts, in)
+	}
+	p.BuildIndex()
+	return p
+}
+
 // TestCoverageExcludeBlocks checks the ExcludeBlocks gate of RunCoverage
-// directly, for every subset of callProgram's blocks.  The reference steps
-// the machine by hand, attributing each step to the block of the last
-// leader executed; an excluded block must drop exactly its own memory
-// accesses and call targets, and still count in Blocks.  Every run also
-// captures: the capture must start at the first direct call from an
-// instrumented block into a block neither excluded nor executed yet, and
-// equal a trace run at that entry record for record.
+// directly, for every subset of callProgram's and zeroCallProgram's
+// blocks.
 func TestCoverageExcludeBlocks(t *testing.T) {
 	p := callProgram()
+	if n := len(p.Leaders()); n != 9 {
+		t.Fatalf("callProgram has %d blocks, want 9", n)
+	}
+	checkExcludeBlocks(t, p)
+	p = zeroCallProgram()
+	if p.Leaders()[0] {
+		t.Fatal("zeroCallProgram's callee is a block leader")
+	}
+	checkExcludeBlocks(t, p)
+}
+
+// checkExcludeBlocks runs p's coverage for every subset of its blocks.
+// The reference steps the machine by hand, attributing each step to the
+// block of the last leader executed; an excluded block must drop exactly
+// its own memory accesses and call targets, and still count in Blocks.
+// Every run also captures: the capture must start at the first direct
+// call from an instrumented block to an address neither excluded nor
+// executed yet, and equal a trace run at that entry record for record.
+func checkExcludeBlocks(t *testing.T, p *isa.Program) {
+	t.Helper()
 	leaders := p.Leaders()
 	blocks := slices.Sorted(maps.Keys(leaders))
-	if len(blocks) != 9 {
-		t.Fatalf("callProgram has %d blocks, want 9", len(blocks))
-	}
 
 	// call is a direct call: the call site and the callee.
 	type call struct{ site, callee uint32 }
 	type step struct {
+		addr     uint32
 		block    uint32
 		call     *call
 		accesses []trace.MemAccess
@@ -88,7 +131,7 @@ func TestCoverageExcludeBlocks(t *testing.T) {
 			wantBlocks[m.eip]++
 			cur = m.eip
 		}
-		s.block = cur
+		s.addr, s.block = m.eip, cur
 		idx, _ := p.Lookup(m.eip)
 		if in := p.Insts[idx]; in.Op == isa.CALL && in.Sym == "" {
 			s.call = &call{site: in.Addr, callee: in.Target}
@@ -115,11 +158,7 @@ func TestCoverageExcludeBlocks(t *testing.T) {
 		var wantEntry *uint32
 		executed := map[uint32]bool{}
 		for _, s := range steps {
-			executed[s.block] = true
-			if excl[s.block] {
-				continue
-			}
-			if c := s.call; c != nil {
+			if c := s.call; c != nil && !excl[s.block] {
 				if wantCalls[c.site] == nil {
 					wantCalls[c.site] = map[uint32]bool{}
 				}
@@ -128,7 +167,10 @@ func TestCoverageExcludeBlocks(t *testing.T) {
 					wantEntry = &c.callee
 				}
 			}
-			wantMem = append(wantMem, s.accesses...)
+			executed[s.addr] = true
+			if !excl[s.block] {
+				wantMem = append(wantMem, s.accesses...)
+			}
 		}
 
 		m.Reset()
@@ -165,7 +207,7 @@ func TestCoverageExcludeBlocks(t *testing.T) {
 		}
 	}
 	if captures == 0 {
-		t.Error("no exclusion mask captured a trace")
+		t.Errorf("%s: no exclusion mask captured a trace", p.Name)
 	}
 }
 

@@ -34,7 +34,7 @@ type CoverageOptions struct {
 	// TraceMemory collects a memory access trace for instrumented blocks.
 	TraceMemory bool
 	// Capture traces a filter candidate during the run.  The first direct
-	// call from an instrumented block into a block outside ExcludeBlocks
+	// call from an instrumented block to an address outside ExcludeBlocks
 	// that the run has not executed yet names the candidate; from that
 	// call on the run captures exactly what RunTrace would with the
 	// candidate as FilterEntry.  Localization's on-run sets it, so a lift
@@ -107,8 +107,14 @@ func (m *Machine) RunCoverage(opts CoverageOptions) (*CoverageResult, error) {
 	rec := &stepRecord{}
 	curInstrumented := true
 	// tr is the capture's tracer once a call has named the candidate.
+	// Until then ran marks the instructions executed so far: a candidate
+	// must not have run yet, or the capture would miss its earlier visits.
 	var tr *tracer
 	var captured *trace.InstTrace
+	var ran []bool
+	if opts.Capture {
+		ran = make([]bool, len(m.Prog.Insts))
+	}
 
 	for !m.halted {
 		if m.steps >= maxSteps {
@@ -128,11 +134,15 @@ func (m *Machine) RunCoverage(opts CoverageOptions) (*CoverageResult, error) {
 				res.CallTargets[in.Addr] = make(map[uint32]bool)
 			}
 			res.CallTargets[in.Addr][in.Target] = true
-			if opts.Capture && res.Capture == nil && !opts.ExcludeBlocks[in.Target] && res.Blocks[in.Target] == 0 {
+			if ti := m.Prog.Successors(idx).Target; ran != nil && !opts.ExcludeBlocks[in.Target] && (ti < 0 || !ran[ti]) {
 				res.Capture = &Capture{Entry: in.Target}
 				captured = &trace.InstTrace{}
 				tr = newTracer(m, TraceOptions{FilterEntry: in.Target, MaxTraceInsts: opts.MaxTraceInsts}, captured)
+				ran = nil
 			}
+		}
+		if ran != nil {
+			ran[idx] = true
 		}
 
 		traced := tr != nil && tr.enter()
