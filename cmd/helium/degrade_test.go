@@ -70,7 +70,7 @@ func TestDegradationChain(t *testing.T) {
 	cfg := legacy.Config{Width: 40, Height: 24, Seed: 1}
 	var err error
 	out := captureStdout(t, func() {
-		err = run(k, cfg, "generated", 1, false, false)
+		err = run(k, cfg, "generated", false, false)
 	})
 	if err != nil {
 		t.Fatalf("degraded run failed: %v", err)
@@ -95,7 +95,7 @@ func TestStrictDisablesDegradation(t *testing.T) {
 	cfg := legacy.Config{Width: 40, Height: 24, Seed: 1}
 	var err error
 	out := captureStdout(t, func() {
-		err = run(k, cfg, "generated", 1, false, true)
+		err = run(k, cfg, "generated", false, true)
 	})
 	if err == nil {
 		t.Fatal("strict run with an injected backend fault succeeded")
@@ -114,7 +114,7 @@ func TestVMTerminalBackend(t *testing.T) {
 	k := corpusKernel(t, "brighten")
 	inst := k.Instantiate(legacy.Config{Width: 40, Height: 24, Seed: 1})
 	out := captureStdout(t, func() {
-		if err := runBackend("vm", k, inst, nil, 1, false); err != nil {
+		if err := runBackend("vm", k, inst, nil, false); err != nil {
 			t.Errorf("vm terminal backend: %v", err)
 		}
 	})

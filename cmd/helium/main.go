@@ -8,16 +8,16 @@
 // Usage:
 //
 //	helium [-kernel name] [-width N] [-height N] [-seed N] [-v]
-//	       [-backend interp|compiled|generated] [-workers N] [-strict]
+//	       [-backend interp|compiled|generated] [-strict]
 //	helium tune [-out schedules.json] [-smoke] [-width N] [-height N]
 //	helium gen [-out dir] [-check] [-schedules schedules.json]   (dir/kernels.go)
 //
 // With no -kernel, every corpus kernel is lifted.  The default backend
-// compiles the lifted trees to register programs and evaluates them both
-// serially and with the cache-blocked parallel driver; -backend interp
-// selects the tree-walking evaluator and -backend generated the
-// ahead-of-time Go code in internal/liftedkernels.  Either way the output
-// is compared byte for byte with what the legacy binary wrote.
+// compiles the lifted trees to register programs and evaluates them
+// serially; -backend interp selects the tree-walking evaluator and
+// -backend generated the ahead-of-time Go code in internal/liftedkernels,
+// the only parallel executor.  Either way the output is compared byte for
+// byte with what the legacy binary wrote.
 //
 // When a backend fails, run degrades gracefully down the chain
 // generated -> compiled -> interp -> vm, printing the reason for each
@@ -94,7 +94,6 @@ func main() {
 		height     = flag.Int("height", 24, "image height in pixels")
 		seed       = flag.Uint64("seed", 1, "deterministic input pattern seed")
 		backend    = flag.String("backend", "compiled", "evaluation backend: interp, compiled or generated")
-		workers    = flag.Int("workers", 0, "parallel eval workers (0 = GOMAXPROCS)")
 		verbose    = flag.Bool("v", false, "print localization and buffer details")
 		list       = flag.Bool("list", false, "list the corpus kernels and exit")
 		strict     = flag.Bool("strict", false, "disable graceful backend degradation: the first backend failure is fatal")
@@ -135,7 +134,7 @@ func main() {
 
 	failed := false
 	for _, k := range kernels {
-		if err := run(k, cfg, *backend, *workers, *verbose, *strict); err != nil {
+		if err := run(k, cfg, *backend, *verbose, *strict); err != nil {
 			fmt.Fprintf(os.Stderr, "helium: %s: %v\n", k.Name, err)
 			failed = true
 		}
@@ -241,7 +240,7 @@ func backendChain(backend string) []string {
 	}
 }
 
-func run(k legacy.Kernel, cfg legacy.Config, backend string, workers int, verbose, strict bool) error {
+func run(k legacy.Kernel, cfg legacy.Config, backend string, verbose, strict bool) error {
 	inst := k.Instantiate(cfg)
 
 	fmt.Printf("=== %s (%s)\n", k.Name, cfg)
@@ -279,7 +278,7 @@ func run(k legacy.Kernel, cfg legacy.Config, backend string, workers int, verbos
 	}
 
 	for i, be := range chain {
-		err := runBackend(be, k, inst, res, workers, verbose)
+		err := runBackend(be, k, inst, res, verbose)
 		if err == nil {
 			return nil
 		}
@@ -297,7 +296,7 @@ func run(k legacy.Kernel, cfg legacy.Config, backend string, workers int, verbos
 // runBackend verifies one backend and prints its success line.  The
 // terminal "vm" backend re-emulates the binary and checks its output
 // against the instance's pure-Go reference, needing no lifted result.
-func runBackend(be string, k legacy.Kernel, inst *legacy.Instance, res *lift.Result, workers int, verbose bool) error {
+func runBackend(be string, k legacy.Kernel, inst *legacy.Instance, res *lift.Result, verbose bool) error {
 	switch be {
 	case "interp":
 		if err := res.Verify(); err != nil {
@@ -305,7 +304,7 @@ func runBackend(be string, k legacy.Kernel, inst *legacy.Instance, res *lift.Res
 		}
 		fmt.Printf("verified: %d samples pixel-exact (interp backend)\n\n", res.Samples)
 	case "compiled":
-		ck, err := res.VerifyCompiled(workers)
+		ck, err := res.VerifyCompiled(0)
 		if err != nil {
 			return err
 		}
@@ -322,8 +321,7 @@ func runBackend(be string, k legacy.Kernel, inst *legacy.Instance, res *lift.Res
 			fmt.Printf("compiled: %d instruction(s), %d pooled constant(s), %d tap(s) across %d channel program(s) in %d stage(s), lane bits %v\n",
 				insts, consts, loads, len(progs), len(res.Stages), lanes)
 		}
-		fmt.Printf("verified: %d samples pixel-exact (compiled backend, serial + %d workers)\n\n",
-			res.Samples, ck.Workers(workers))
+		fmt.Printf("verified: %d samples pixel-exact (compiled backend)\n\n", res.Samples)
 	case "generated":
 		gk, _, err := evalGenerated(k.Name, res)
 		if err != nil {

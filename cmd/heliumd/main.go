@@ -10,8 +10,8 @@
 // Usage:
 //
 //	heliumd [-addr :8080] [-workers N] [-queue N] [-per-kernel N]
-//	        [-timeout 10s] [-drain 10s] [-warm] [-eval-workers N]
-//	        [-fault-slow 25ms] [-log-level info] [-pprof]
+//	        [-timeout 10s] [-drain 10s] [-warm] [-fault-slow 25ms]
+//	        [-log-level info] [-pprof]
 //	heliumd -ref -kernel name [-width N] [-height N] [-seed N]
 //
 // Endpoints:
@@ -41,8 +41,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/signal"
@@ -54,58 +56,81 @@ import (
 )
 
 func main() {
-	var (
-		addr      = flag.String("addr", ":8080", "listen address")
-		workers   = flag.Int("workers", 0, "execution pool size (0 = GOMAXPROCS)")
-		queue     = flag.Int("queue", 64, "admission queue depth (full queue sheds with 503)")
-		perKernel = flag.Int("per-kernel", 0, "per-kernel concurrency limit (0 = pool size)")
-		timeout   = flag.Duration("timeout", 10*time.Second, "per-request execution deadline")
-		drain     = flag.Duration("drain", 10*time.Second, "graceful shutdown drain budget")
-		warm      = flag.Bool("warm", true, "lift the whole corpus before reporting ready")
-		evalW     = flag.Int("eval-workers", 1, "intra-request parallelism (requests parallelize across the pool)")
-		slow      = flag.Duration("fault-slow", 25*time.Millisecond, "injected delay of the serve.slow-backend faultpoint")
-		maxW      = flag.Int("max-width", 2048, "largest accepted request width")
-		maxH      = flag.Int("max-height", 2048, "largest accepted request height")
-		logLevel  = flag.String("log-level", "info", "stderr log threshold: debug, info, warn, error, off")
-		pprofOn   = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-
-		ref    = flag.Bool("ref", false, "print the vm ground-truth response for one request and exit")
-		kernel = flag.String("kernel", "boxblur3", "kernel for -ref")
-		width  = flag.Int("width", 40, "request width for -ref")
-		height = flag.Int("height", 24, "request height for -ref")
-		seed   = flag.Uint64("seed", 1, "request seed for -ref")
-	)
-	flag.Parse()
-
-	log := obs.NewLogger(os.Stderr, obs.ParseLevel(*logLevel))
-	opts := serve.Options{
-		Workers:          *workers,
-		QueueDepth:       *queue,
-		PerKernel:        *perKernel,
-		Timeout:          *timeout,
-		DrainTimeout:     *drain,
-		EvalWorkers:      *evalW,
-		SlowBackendDelay: *slow,
-		MaxWidth:         *maxW,
-		MaxHeight:        *maxH,
-		Logger:           log,
-		EnablePprof:      *pprofOn,
+	c, err := parseFlags(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
 	}
+	if err != nil {
+		os.Exit(2)
+	}
+	log := obs.NewLogger(os.Stderr, obs.ParseLevel(c.logLevel))
+	c.opts.Logger = log
 
-	if *ref {
-		s := serve.New(opts)
-		out, err := s.Reference(*kernel, *width, *height, *seed)
-		if err != nil {
+	if c.ref {
+		if err := writeRef(os.Stdout, c); err != nil {
 			fmt.Fprintf(os.Stderr, "heliumd: ref: %v\n", err)
 			os.Exit(1)
 		}
-		os.Stdout.Write(out)
 		return
 	}
-	if err := run(opts, *addr, *warm, log); err != nil {
+	if err := run(c.opts, c.addr, c.warm, log); err != nil {
 		fmt.Fprintf(os.Stderr, "heliumd: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// config is heliumd's parsed command line: the server options plus the
+// listener, log and -ref settings that serve.Options does not hold.
+type config struct {
+	opts     serve.Options
+	addr     string
+	warm     bool
+	logLevel string
+
+	ref           bool
+	kernel        string
+	width, height int
+	seed          uint64
+}
+
+// parseFlags parses the command line (args excludes the program name).
+// Usage and parse errors go to stderr; -h returns flag.ErrHelp.
+func parseFlags(args []string, stderr io.Writer) (config, error) {
+	fs := flag.NewFlagSet("heliumd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var c config
+	fs.StringVar(&c.addr, "addr", ":8080", "listen address")
+	fs.IntVar(&c.opts.Workers, "workers", 0, "execution pool size (0 = GOMAXPROCS)")
+	fs.IntVar(&c.opts.QueueDepth, "queue", 64, "admission queue depth (full queue sheds with 503)")
+	fs.IntVar(&c.opts.PerKernel, "per-kernel", 0, "per-kernel concurrency limit (0 = pool size)")
+	fs.DurationVar(&c.opts.Timeout, "timeout", 10*time.Second, "per-request execution deadline")
+	fs.DurationVar(&c.opts.DrainTimeout, "drain", 10*time.Second, "graceful shutdown drain budget")
+	fs.BoolVar(&c.warm, "warm", true, "lift the whole corpus before reporting ready")
+	fs.DurationVar(&c.opts.SlowBackendDelay, "fault-slow", 25*time.Millisecond, "injected delay of the serve.slow-backend faultpoint")
+	fs.IntVar(&c.opts.MaxWidth, "max-width", 2048, "largest accepted request width")
+	fs.IntVar(&c.opts.MaxHeight, "max-height", 2048, "largest accepted request height")
+	fs.StringVar(&c.logLevel, "log-level", "info", "stderr log threshold: debug, info, warn, error, off")
+	fs.BoolVar(&c.opts.EnablePprof, "pprof", false, "mount net/http/pprof under /debug/pprof/")
+
+	fs.BoolVar(&c.ref, "ref", false, "print the vm ground-truth response for one request and exit")
+	fs.StringVar(&c.kernel, "kernel", "boxblur3", "kernel for -ref")
+	fs.IntVar(&c.width, "width", 40, "request width for -ref")
+	fs.IntVar(&c.height, "height", 24, "request height for -ref")
+	fs.Uint64Var(&c.seed, "seed", 1, "request seed for -ref")
+	if err := fs.Parse(args); err != nil {
+		return config{}, err
+	}
+	return c, nil
+}
+
+// writeRef writes the -ref request's ground-truth response bytes to w.
+func writeRef(w io.Writer, c config) error {
+	out, err := serve.New(c.opts).Reference(c.kernel, c.width, c.height, c.seed)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(out)
+	return err
 }
 
 // run serves until SIGINT/SIGTERM, then drains gracefully.  The final

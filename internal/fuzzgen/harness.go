@@ -172,12 +172,10 @@ func runPipeline(spec Spec, inst *legacy.Instance, rep *Report) (err error) {
 	if err := res.Verify(); err != nil {
 		return err
 	}
-	// Compiled backend on every execution path (serial, parallel, fused).
-	c, err := res.VerifyCompiled(2)
-	if err != nil {
+	// Compiled backend on both input paths (fused and generic).
+	if _, err := res.VerifyCompiled(0); err != nil {
 		return err
 	}
-	_ = c
 
 	// The pipeline verified itself against the VM dump; now hold it to
 	// the generator's independent reference.  A mismatch here means

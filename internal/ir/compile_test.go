@@ -265,11 +265,6 @@ func TestCompiledRowDifferential(t *testing.T) {
 				if werr.Error() != gerr.Error() {
 					t.Fatalf("seed %d: interp error %q, compiled error %q\ntree: %s", seed, werr, gerr, tree)
 				}
-				pgot, perr := ck.EvalParallel(s, 3)
-				if perr == nil || perr.Error() != werr.Error() {
-					t.Fatalf("seed %d: parallel error %v, want %q", seed, perr, werr)
-				}
-				_ = pgot
 				continue
 			}
 			if !bytes.Equal(got, want) {
@@ -387,9 +382,8 @@ func TestCompileSharedDAGLinear(t *testing.T) {
 	}
 }
 
-// TestCompiledKernelMatchesInterp renders a whole kernel through every
-// compiled path — serial executor, parallel driver at several worker
-// counts, fused and generic bindings — and demands byte equality with the
+// TestCompiledKernelMatchesInterp renders a whole kernel through both
+// compiled bindings, fused and generic, and demands byte equality with the
 // interpreter.
 func TestCompiledKernelMatchesInterp(t *testing.T) {
 	plane := diffPlane()
@@ -428,15 +422,6 @@ func TestCompiledKernelMatchesInterp(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s compiled output differs from interpreter", name)
 		}
-		for _, workers := range []int{1, 2, 3, 7} {
-			got, err := ck.EvalParallel(src, workers)
-			if err != nil {
-				t.Fatalf("%s EvalParallel(%d): %v", name, workers, err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("%s EvalParallel(%d) output differs from serial", name, workers)
-			}
-		}
 	}
 }
 
@@ -462,13 +447,6 @@ func TestCompiledInterleavedFusion(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Error("fused interleaved output differs from interpreter")
-	}
-	got, err = ck.EvalParallel(InterleavedSource{Im: im}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Error("parallel interleaved output differs from interpreter")
 	}
 }
 

@@ -6,7 +6,7 @@
 // the width-inference pass proved: 8, 16 or 32 bits when every register
 // fits, 64 bits otherwise (always for programs with floating point, whose
 // registers hold IEEE-754 bit patterns).  Narrow lanes shrink the row
-// register file by 8x/4x/2x, which keeps whole tiles of register rows inside
+// register file by 8x/4x/2x, which keeps more of a row's registers inside
 // L1 and moves 2-8x more samples per cache line through the hot loops.
 // Every instantiation is bit-exact with 64-bit execution — see width.go for
 // the soundness argument — including error positions and messages.
@@ -15,7 +15,7 @@
 // the stride directly; a fractional map x' = floor((num*x+off)/den) splits
 // each output row into den residue classes, because the samples
 // x = r + den*j of class r read input column Apply(r) + num*j: one row at
-// stride num per class (see Executor.evalTile).
+// stride num per class (see Executor.Eval).
 package ir
 
 import "math"

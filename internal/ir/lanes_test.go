@@ -68,10 +68,9 @@ func (g *narrowTreeGen) expr(depth int) *Expr {
 }
 
 // TestLaneRowDifferential drives the width-specialized row executors
-// against the interpreter on trees the width pass can narrow: outputs (and
-// the parallel tiled driver's outputs) must match byte for byte, and the
-// corpus must actually select narrow lanes rather than silently falling
-// back to 64-bit rows.
+// against the interpreter on trees the width pass can narrow: outputs must
+// match byte for byte, and the corpus must actually select narrow lanes
+// rather than silently falling back to 64-bit rows.
 func TestLaneRowDifferential(t *testing.T) {
 	plane := diffPlane()
 	src := PlaneSource{P: plane}
@@ -101,10 +100,6 @@ func TestLaneRowDifferential(t *testing.T) {
 				t.Fatalf("seed %d: lane output differs from interpreter (lanes=%d)\ntree: %s\n%s",
 					seed, ck.Progs[0].LaneBits(), tree, ck.Progs[0].Disasm())
 			}
-			got, gerr = ck.EvalParallel(s, 3)
-			if gerr != nil || !bytes.Equal(got, want) {
-				t.Fatalf("seed %d: parallel lane output differs (err %v)", seed, gerr)
-			}
 		}
 	}
 	if laneCounts[8]+laneCounts[16]+laneCounts[32] < 150 {
@@ -120,144 +115,6 @@ func TestLaneRowDifferential(t *testing.T) {
 type coordSource struct{}
 
 func (coordSource) Sample(x, y, c int) uint8 { return uint8(x*31 ^ y*17 ^ c*5) }
-
-// wideKernel builds a kernel big enough that the blocked driver genuinely
-// splits it into multiple tiles in both dimensions.
-func wideKernel(tree *Expr) *Kernel {
-	return &Kernel{Name: "wide", OutWidth: 1500, OutHeight: 900, Channels: 1,
-		OriginX: 1, OriginY: 1, Trees: []*Expr{tree}}
-}
-
-// TestTiledEvalMatchesSerial checks the cache-blocked parallel driver
-// against the serial full-row executor on an image large enough for a real
-// tile grid, across worker counts.
-func TestTiledEvalMatchesSerial(t *testing.T) {
-	// Enough distinct subexpressions that the row register file forces
-	// tiling in x.
-	taps := make([]*Expr, 0, 12)
-	for dy := -1; dy <= 1; dy++ {
-		for dx := -1; dx <= 1; dx++ {
-			taps = append(taps, &Expr{Op: OpZExt, Width: 4, SrcWidth: 1, Args: []*Expr{Load(dx, dy, 0)}})
-		}
-	}
-	taps = append(taps, Const(4))
-	tree := Bin(OpMin, 4,
-		Bin(OpDiv, 4, &Expr{Op: OpAdd, Width: 4, Args: taps}, Const(9)),
-		Const(255))
-	k := wideKernel(tree)
-	ck, err := k.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tw, th := ck.tileSize()
-	if tw >= k.OutWidth || th >= k.OutHeight {
-		t.Fatalf("tile geometry %dx%d does not block a %dx%d image", tw, th, k.OutWidth, k.OutHeight)
-	}
-	src := coordSource{}
-	want, err := ck.Eval(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 3, 8} {
-		got, err := ck.EvalParallel(src, workers)
-		if err != nil {
-			t.Fatalf("EvalParallel(%d): %v", workers, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("tiled output differs from serial at %d workers (tiles %dx%d)", workers, tw, th)
-		}
-	}
-}
-
-// TestTiledErrorDeterministic pins the blocked driver's error semantics: a
-// data-dependent fault must be reported at exactly the coordinate and with
-// exactly the message the serial per-sample scan produces, for every
-// worker count, even when the faulting sample sits in a late tile while an
-// earlier-index tile also faults.
-func TestTiledErrorDeterministic(t *testing.T) {
-	// table has 128 entries, the index is the input byte: every sample
-	// whose input is >= 128 faults, which happens all over the grid.
-	table := make([]byte, 128)
-	for i := range table {
-		table[i] = byte(i * 3)
-	}
-	idx := &Expr{Op: OpZExt, Width: 4, SrcWidth: 1, Args: []*Expr{Load(0, 0, 0)}}
-	tree := &Expr{Op: OpTable, Table: table, Elem: 1, Args: []*Expr{idx}}
-	k := wideKernel(tree)
-	ck, err := k.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := coordSource{}
-	_, serr := ck.Eval(src)
-	if serr == nil {
-		t.Fatal("fault kernel must error serially")
-	}
-	for _, workers := range []int{1, 2, 5, 16} {
-		_, perr := ck.EvalParallel(src, workers)
-		if perr == nil {
-			t.Fatalf("EvalParallel(%d): fault kernel must error", workers)
-		}
-		if perr.Error() != serr.Error() {
-			t.Fatalf("EvalParallel(%d) error %q differs from serial %q", workers, perr, serr)
-		}
-	}
-}
-
-// TestWorkersCappedByWork pins the worker-count cap: workers never exceed
-// the number of independent tiles, so a 3-row image never spins up 16
-// goroutines' worth of executors — a small image collapses to one worker
-// — while a wide short image still gets one worker per column tile.
-func TestWorkersCappedByWork(t *testing.T) {
-	k := &Kernel{Name: "short", OutWidth: 64, OutHeight: 3, Channels: 1,
-		Trees: []*Expr{Load(0, 0, 0)}}
-	ck, err := k.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, requested := range []int{16, 3, 2, 1, 0} {
-		got := ck.Workers(requested)
-		if got < 1 || got > 3 {
-			t.Errorf("Workers(%d) on a 64x3 kernel = %d, want within [1, 3]", requested, got)
-		}
-	}
-	// A wide short image with a fat register file tiles in x, so useful
-	// parallelism can exceed the row count.
-	args := make([]*Expr, 0, 40)
-	for i := 0; i < 40; i++ {
-		args = append(args, Bin(OpMul, 4,
-			&Expr{Op: OpZExt, Width: 4, SrcWidth: 1, Args: []*Expr{Load(i%5-2, i/5%5-2, 0)}},
-			&Expr{Op: OpZExt, Width: 4, SrcWidth: 1, Args: []*Expr{Load(i/25-2, i%25/5-2, 0)}}))
-	}
-	wide := &Kernel{Name: "wideshort", OutWidth: 1500, OutHeight: 3, Channels: 1,
-		OriginX: 2, OriginY: 2, Trees: []*Expr{{Op: OpAdd, Width: 4, Args: args}}}
-	wck, err := wide.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tw, th := wck.tileSize()
-	tiles := ((wide.OutWidth + tw - 1) / tw) * ((wide.OutHeight + th - 1) / th)
-	if tiles <= 3 {
-		t.Fatalf("wide-short kernel only blocks into %d tiles; the test needs x-tiling", tiles)
-	}
-	if got := wck.Workers(64); got != tiles {
-		t.Errorf("Workers(64) on a %d-tile kernel = %d, want %d", tiles, got, tiles)
-	}
-	// The cap must hold end to end, not just in the accessor.
-	for _, kk := range []*CompiledKernel{ck, wck} {
-		out, err := kk.EvalParallel(coordSource{}, 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := kk.Eval(coordSource{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(out, want) {
-			t.Errorf("%s: capped parallel output differs from serial", kk.Name)
-		}
-	}
-}
 
 // TestFoldedConstantsDoNotWidenLanes pins two compiler interactions the
 // width pass depends on: pool constants left behind by constant folding
@@ -329,9 +186,8 @@ func TestFoldedConstantsDoNotWidenLanes(t *testing.T) {
 }
 
 // checkCompiledMatchesInterp holds the compiled kernel to the interpreter
-// on src through the serial executor and the tiled driver at 3 workers:
-// identical bytes, or the identical error (failing coordinate and message
-// alike).  It reports whether the interpreter faulted.
+// on src: identical bytes, or the identical error (failing coordinate and
+// message alike).  It reports whether the interpreter faulted.
 func checkCompiledMatchesInterp(t *testing.T, k *Kernel, src Source) bool {
 	t.Helper()
 	want, werr := k.Eval(src)
@@ -339,24 +195,16 @@ func checkCompiledMatchesInterp(t *testing.T, k *Kernel, src Source) bool {
 	if err != nil {
 		t.Fatalf("%s: Compile: %v", k.Name, err)
 	}
-	for _, path := range []struct {
-		name string
-		eval func() ([]byte, error)
-	}{
-		{"Eval", func() ([]byte, error) { return ck.Eval(src) }},
-		{"EvalParallel", func() ([]byte, error) { return ck.EvalParallel(src, 3) }},
-	} {
-		got, gerr := path.eval()
-		switch {
-		case werr != nil:
-			if gerr == nil || gerr.Error() != werr.Error() {
-				t.Errorf("%s: compiled %s error %v, want %q", k.Name, path.name, gerr, werr)
-			}
-		case gerr != nil:
-			t.Errorf("%s: compiled %s: %v", k.Name, path.name, gerr)
-		case !bytes.Equal(got, want):
-			t.Errorf("%s: compiled %s output differs from the interpreter", k.Name, path.name)
+	got, gerr := ck.Eval(src)
+	switch {
+	case werr != nil:
+		if gerr == nil || gerr.Error() != werr.Error() {
+			t.Errorf("%s: compiled error %v, want %q", k.Name, gerr, werr)
 		}
+	case gerr != nil:
+		t.Errorf("%s: compiled: %v", k.Name, gerr)
+	case !bytes.Equal(got, want):
+		t.Errorf("%s: compiled output differs from the interpreter", k.Name)
 	}
 	return werr != nil
 }
@@ -365,8 +213,7 @@ func checkCompiledMatchesInterp(t *testing.T, k *Kernel, src Source) bool {
 // differential: strided, fractional and column-broadcast x-maps (each
 // residue class of a fractional map executes as one constant-stride row,
 // a broadcast as a stride-0 row) must match the
-// interpreter in values, fault positions and fault messages, serially and
-// through the tiled driver.
+// interpreter in values, fault positions and fault messages.
 func TestCompiledIndexMapDifferential(t *testing.T) {
 	plane, kernels, minFaults := indexMapEdgeKernels()
 	faults := 0
@@ -419,9 +266,8 @@ func TestCompiledIndexMapDifferential(t *testing.T) {
 		t.Fatal("interleaved value kernel faulted")
 	}
 
-	// A 64-bit float tree under in(x/2, y) on the wide geometry: the tiled
-	// driver's tile width is odd, so every other column tile starts in the
-	// middle of a residue class.  The table variant faults data-dependently.
+	// A 64-bit float tree under in(x/2, y) on a wide geometry.  The table
+	// variant faults data-dependently.
 	zx := func(e *Expr) *Expr { return &Expr{Op: OpZExt, Width: 4, SrcWidth: 1, Args: []*Expr{e}} }
 	fl := func(e *Expr) *Expr { return &Expr{Op: OpIntToFP, SrcWidth: 4, Args: []*Expr{zx(e)}} }
 	blend := &Expr{Op: OpFPToInt, Width: 4, Args: []*Expr{
@@ -433,17 +279,14 @@ func TestCompiledIndexMapDifferential(t *testing.T) {
 		tab[i] = byte(i ^ 0x5a)
 	}
 	for _, tree := range []*Expr{blend, {Op: OpTable, Table: tab, Elem: 1, Args: []*Expr{blend}}} {
-		k := wideKernel(tree)
-		k.MapX = AxisMap{Num: 1, Den: 2}
+		k := &Kernel{Name: "wide", OutWidth: 1500, OutHeight: 900, Channels: 1,
+			OriginX: 1, OriginY: 1, MapX: AxisMap{Num: 1, Den: 2}, Trees: []*Expr{tree}}
 		ck, err := k.Compile()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if lanes := ck.Progs[0].LaneBits(); lanes != 64 {
 			t.Fatalf("float tree runs at %d-bit lanes, want 64", lanes)
-		}
-		if tw, _ := ck.tileSize(); tw >= k.OutWidth || tw%2 == 0 {
-			t.Fatalf("tile width %d does not split the %d columns at an odd offset", tw, k.OutWidth)
 		}
 		checkCompiledMatchesInterp(t, k, coordSource{})
 	}

@@ -11,7 +11,7 @@
 // almost no interpretive overhead per sample.  Index maps keep rows
 // vectorized: an integral x-map is a constant input stride, and a
 // fractional one splits each output row into residue classes that are each
-// a constant-stride row (see Executor.evalTile).  This is the
+// a constant-stride row (see Executor.Eval).  This is the
 // reproduction's stand-in for the paper's regenerated Halide code: the
 // lifted stencil as an executable program rather than a walked tree.
 package ir
@@ -19,9 +19,6 @@ package ir
 import (
 	"fmt"
 	"math/bits"
-	"runtime"
-
-	"helium/internal/par"
 )
 
 // Internal opcodes the lowering introduces.  They live past the public Op
@@ -317,8 +314,7 @@ func (k *Kernel) Compile() (*CompiledKernel, error) {
 
 // Executor evaluates a compiled kernel against one bound source.  It owns
 // the register files and precomputed tap offsets, so evaluation performs
-// no allocation.  An Executor is not safe for concurrent use; EvalParallel
-// creates one per worker.
+// no allocation.  An Executor is not safe for concurrent use.
 type Executor struct {
 	k  *CompiledKernel
 	bd binding
@@ -331,69 +327,38 @@ type Executor struct {
 // image.Plane or image.Interleaved get fused flat-index addressing; other
 // sources are sampled through the interface.
 func (ck *CompiledKernel) NewExecutor(src Source) *Executor {
-	return ck.newExecutor(src, ck.OutWidth)
-}
-
-// newExecutor builds an executor whose row register files hold rowWidth
-// samples — the full output width for serial evaluation, one tile width
-// for the blocked parallel driver.
-func (ck *CompiledKernel) newExecutor(src Source, rowWidth int) *Executor {
 	ex := &Executor{k: ck, bd: bindSource(src)}
 	// Consecutive samples of one row (or, under a fractional map, of one
 	// residue class) read num input pixels apart.
 	ex.bd.xstep, _, _ = ck.MapX.Norm()
 	for _, p := range ck.Progs {
-		ex.rows = append(ex.rows, newRowExec(p, &ex.bd, rowWidth))
+		ex.rows = append(ex.rows, newRowExec(p, &ex.bd, ck.OutWidth))
 	}
 	return ex
 }
 
-// tileError is one tile's first failure in x-then-c per-sample scan order;
-// a nil err means the tile rendered completely.
-type tileError struct {
-	x, y, c int
-	err     error
-}
-
-// before orders tile errors by the serial per-sample scan: row-major, then
-// x, then channel.
-func (e tileError) before(o tileError) bool {
-	if e.y != o.y {
-		return e.y < o.y
-	}
-	if e.x != o.x {
-		return e.x < o.x
-	}
-	return e.c < o.c
-}
-
-func (ck *CompiledKernel) wrapTileError(e tileError) error {
-	return fmt.Errorf("ir: kernel %s at (%d,%d,%d): %w", ck.Name, e.x, e.y, e.c, e.err)
-}
-
-// evalTile renders output samples [x0,x1) x [y0,y1) into out (the full
-// row-major output buffer), row-vectorized per channel over the tile
-// width.  The returned tileError is the first failure the serial
-// per-sample scan of the tile would hit, so callers can merge errors
-// across tiles deterministically.  The executor's row width must be at
-// least x1-x0.
+// Eval renders the whole output region in row-major sample order, exactly
+// like Kernel.Eval but through the compiled programs, row-vectorized per
+// channel over the output width.  An error names the first failing sample
+// of the serial per-sample scan: row-major, then x, then channel.
 //
 // Under a fractional x-map x' = floor((num*x+off)/den) the samples
-// x = x0 + r + den*j of residue class r < den read input column
-// MapX.Apply(x0+r) + num*j, so each class is one row at stride num, stored
+// x = r + den*j of residue class r < den read input column
+// MapX.Apply(r) + num*j, so each class is one row at stride num, stored
 // every den samples.  Integral maps are the single class den == 1.
-func (ex *Executor) evalTile(x0, x1, y0, y1 int, out []byte) tileError {
+func (ex *Executor) Eval() ([]byte, error) {
 	k := ex.k
 	_, den, _ := k.MapX.Norm()
 	w, ch := k.OutWidth, k.Channels
-	for y := y0; y < y1; y++ {
-		rowBase := y*w*ch + x0*ch
+	out := make([]byte, w*k.OutHeight*ch)
+	for y := 0; y < k.OutHeight; y++ {
+		rowBase := y * w * ch
 		yi := k.MapY.Apply(y) + k.OriginY
 		errX, errC := -1, -1
 		var firstErr error
-		for r := 0; r < min(den, x1-x0); r++ {
-			n := (x1 - x0 - r + den - 1) / den
-			xi := k.MapX.Apply(x0+r) + k.OriginX
+		for r := 0; r < min(den, w); r++ {
+			n := (w - r + den - 1) / den
+			xi := k.MapX.Apply(r) + k.OriginX
 			for c := 0; c < ch; c++ {
 				j, err := ex.rows[c].runRow(xi, yi, c, n)
 				if err != nil {
@@ -408,18 +373,8 @@ func (ex *Executor) evalTile(x0, x1, y0, y1 int, out []byte) tileError {
 			}
 		}
 		if firstErr != nil {
-			return tileError{x: x0 + errX, y: y, c: errC, err: firstErr}
+			return nil, fmt.Errorf("ir: kernel %s at (%d,%d,%d): %w", k.Name, errX, y, errC, firstErr)
 		}
-	}
-	return tileError{}
-}
-
-// Eval renders the whole output region in row-major sample order, exactly
-// like Kernel.Eval but through the compiled programs.
-func (ex *Executor) Eval() ([]byte, error) {
-	out := make([]byte, ex.k.OutWidth*ex.k.OutHeight*ex.k.Channels)
-	if te := ex.evalTile(0, ex.k.OutWidth, 0, ex.k.OutHeight, out); te.err != nil {
-		return nil, ex.k.wrapTileError(te)
 	}
 	return out, nil
 }
@@ -427,94 +382,4 @@ func (ex *Executor) Eval() ([]byte, error) {
 // Eval is the one-shot convenience: bind src and render the whole output.
 func (ck *CompiledKernel) Eval(src Source) ([]byte, error) {
 	return ck.NewExecutor(src).Eval()
-}
-
-// Cache budgets the tile heuristic targets: the row register file of a
-// tile should fit comfortably in L1, the tile's input and output traffic
-// in L2.  These are deliberately conservative round numbers rather than
-// probed hardware values; getting within 2x of optimal tiling captures
-// almost all of the win.
-const (
-	tileL1Budget = 32 << 10
-	tileL2Budget = 192 << 10
-)
-
-// tileSize picks the 2-D tile extents for the blocked parallel driver:
-// the width is shrunk until the widest channel program's row register file
-// fits the L1 budget (narrow lanes buy proportionally wider tiles), the
-// height until a tile's sample traffic fits the L2 budget.
-func (ck *CompiledKernel) tileSize() (tw, th int) {
-	regBytes := 1
-	for _, p := range ck.Progs {
-		regBytes = max(regBytes, p.numRegs*p.width.laneBits/8)
-	}
-	tw = ck.OutWidth
-	if tw*regBytes > tileL1Budget {
-		tw = max(tileL1Budget/regBytes, 64)
-		tw = min(tw, ck.OutWidth)
-	}
-	th = tileL2Budget / max(tw*ck.Channels, 1)
-	th = min(max(th, 4), ck.OutHeight)
-	return tw, th
-}
-
-// EvalParallel renders the output with a pool of workers over
-// cache-blocked 2-D tiles, each worker evaluating whole tiles with its own
-// Executor.  workers <= 0 uses GOMAXPROCS.  The output — and any reported
-// error — is identical to Eval's regardless of worker count, scheduling or
-// tile geometry; src must tolerate concurrent Sample calls (all package
-// sources and the lift dump source are read-only).
-func (ck *CompiledKernel) EvalParallel(src Source, workers int) ([]byte, error) {
-	workers = ck.Workers(workers)
-	out := make([]byte, ck.OutWidth*ck.OutHeight*ck.Channels)
-	tw, th := ck.tileSize()
-	tilesX := (ck.OutWidth + tw - 1) / tw
-	tilesY := (ck.OutHeight + th - 1) / th
-
-	// Every tile renders (no early abort): the serial scan's first error
-	// may live in a higher-index tile than another tile's failure, so the
-	// driver collects every tile's first error and picks the scan-order
-	// minimum afterwards.
-	errs := make([]tileError, tilesX*tilesY)
-	_ = par.For(tilesX*tilesY, 1, workers, func(int) func(int, int) error {
-		ex := ck.newExecutor(src, tw)
-		return func(t0, t1 int) error {
-			for t := t0; t < t1; t++ {
-				ty, tx := t/tilesX, t%tilesX
-				x0, y0 := tx*tw, ty*th
-				errs[t] = ex.evalTile(x0, min(x0+tw, ck.OutWidth), y0, min(y0+th, ck.OutHeight), out)
-			}
-			return nil
-		}
-	})
-	best := -1
-	for i := range errs {
-		if errs[i].err != nil && (best < 0 || errs[i].before(errs[best])) {
-			best = i
-		}
-	}
-	if best >= 0 {
-		return nil, ck.wrapTileError(errs[best])
-	}
-	return out, nil
-}
-
-// Workers returns the effective worker count EvalParallel will use for a
-// requested value, exposed so drivers can report it.  The count is capped
-// by the number of tiles the output blocks into — a 3-row image never
-// spins up 16 goroutines; it gets at most as many workers as it has
-// independent tiles.
-func (ck *CompiledKernel) Workers(requested int) int {
-	if requested <= 0 {
-		requested = runtime.GOMAXPROCS(0)
-	}
-	tw, th := ck.tileSize()
-	tiles := ((ck.OutWidth + tw - 1) / tw) * ((ck.OutHeight + th - 1) / th)
-	if requested > tiles {
-		requested = tiles
-	}
-	if requested < 1 {
-		requested = 1
-	}
-	return requested
 }

@@ -8,9 +8,22 @@ import (
 	"helium/internal/vm"
 )
 
-var testConfigs = []Config{
+// testConfigs are the geometries the corpus is checked at: two ordinary
+// sizes, then edge geometries whose widths cover width 1 and every unroll
+// remainder, each at heights 1, 2 and 5.
+var testConfigs = append([]Config{
 	{Width: 22, Height: 10, Seed: 1},
 	{Width: 21, Height: 9, Seed: 7}, // odd width exercises the peeled remainders
+}, edgeConfigs()...)
+
+func edgeConfigs() []Config {
+	var cs []Config
+	for _, w := range []int{1, 2, 3, 5, 7, 9, 13, 17} {
+		for _, h := range []int{1, 2, 5} {
+			cs = append(cs, Config{Width: w, Height: h, Seed: 3})
+		}
+	}
+	return cs
 }
 
 // TestKernelsMatchReference runs every corpus kernel on the VM and checks

@@ -814,62 +814,29 @@ func (c *CompiledResult) Progs() []*ir.Program {
 	return out
 }
 
-// Workers reports the effective parallel worker count of the widest
-// stencil stage for a requested value (1 for reduction-only results).
-func (c *CompiledResult) Workers(requested int) int {
-	workers := 1
-	for _, ck := range c.Stages {
-		if ck != nil {
-			workers = max(workers, ck.Workers(requested))
-		}
-	}
-	return workers
+// Eval runs the compiled chain at the lifted geometry.
+func (c *CompiledResult) Eval(src ir.Source) ([]byte, error) {
+	w, h := c.res.EvalDims()
+	return c.EvalAt(src, w, h)
 }
 
-// evalAt runs the compiled chain against src at (outW, outH); parallel
-// selects the cache-blocked tiled driver for the stencil stages.
-func (c *CompiledResult) evalAt(src ir.Source, outW, outH int, parallel bool, workers int) ([]byte, error) {
+// EvalAt runs the compiled chain against an arbitrary first-stage source
+// at a fresh final geometry.
+func (c *CompiledResult) EvalAt(src ir.Source, outW, outH int) ([]byte, error) {
 	return c.res.chain(src, outW, outH, func(i int, k *ir.Kernel, s ir.Source) ([]byte, error) {
 		ck := *c.Stages[i]
 		ck.OutWidth, ck.OutHeight = k.OutWidth, k.OutHeight
-		if parallel {
-			return ck.EvalParallel(s, workers)
-		}
 		return ck.Eval(s)
 	}, nil)
 }
 
-// Eval runs the compiled chain serially at the lifted geometry.
-func (c *CompiledResult) Eval(src ir.Source) ([]byte, error) {
-	w, h := c.res.EvalDims()
-	return c.evalAt(src, w, h, false, 0)
-}
-
-// EvalParallel runs the compiled chain with the tiled parallel driver at
-// the lifted geometry (workers <= 0 means GOMAXPROCS).
-func (c *CompiledResult) EvalParallel(src ir.Source, workers int) ([]byte, error) {
-	w, h := c.res.EvalDims()
-	return c.evalAt(src, w, h, true, workers)
-}
-
-// EvalAt runs the compiled chain serially against an arbitrary
-// first-stage source at a fresh final geometry.
-func (c *CompiledResult) EvalAt(src ir.Source, outW, outH int) ([]byte, error) {
-	return c.evalAt(src, outW, outH, false, 0)
-}
-
-// EvalParallelAt is EvalAt through the tiled parallel driver.
-func (c *CompiledResult) EvalParallelAt(src ir.Source, outW, outH int, workers int) ([]byte, error) {
-	return c.evalAt(src, outW, outH, true, workers)
-}
-
 // VerifyCompiled lowers the lifted pipeline to register programs and
 // checks the compiled backend against the legacy binary's own output on
-// every execution path: serial and parallel (with the given worker count,
-// <= 0 meaning GOMAXPROCS), flat (materialized pixel backing) and generic
-// (dump-backed source).  On success it returns the verified compiled
-// pipeline so drivers report and benchmark exactly the programs that were
-// checked.
+// both input paths: flat (materialized pixel backing) and generic
+// (dump-backed source).  The compiled backend is serial, so workers is
+// unused; it is kept for existing callers.  On success it returns the
+// verified compiled pipeline so drivers report and benchmark exactly the
+// programs that were checked.
 func (r *Result) VerifyCompiled(workers int) (*CompiledResult, error) {
 	want, err := r.VMOutput()
 	if err != nil {
@@ -894,13 +861,6 @@ func (r *Result) VerifyCompiled(workers int) (*CompiledResult, error) {
 			return nil, reject(PhaseCompile, fmt.Errorf("lift: compiled %s eval: %w", p.name, err))
 		}
 		if err := compareToVM("compiled "+p.name+" evaluation", got, want); err != nil {
-			return nil, reject(PhaseVerify, err)
-		}
-		got, err = c.EvalParallel(p.src, workers)
-		if err != nil {
-			return nil, reject(PhaseCompile, fmt.Errorf("lift: compiled %s parallel eval: %w", p.name, err))
-		}
-		if err := compareToVM("compiled "+p.name+" parallel evaluation", got, want); err != nil {
 			return nil, reject(PhaseVerify, err)
 		}
 	}

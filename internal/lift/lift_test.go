@@ -193,26 +193,18 @@ func TestLiftedKernelOnFreshInput(t *testing.T) {
 			if !bytes.Equal(got, want) {
 				t.Errorf("lifted result does not generalize to a fresh input")
 			}
-			// The compiled backend must generalize identically, on the
-			// fused backing and through the parallel driver alike.
+			// The compiled backend must generalize identically on the
+			// fused backing.
 			c, err := res.Compile()
 			if err != nil {
 				t.Fatalf("Compile: %v", err)
 			}
-			fsrc := fres.MaterializeInput()
-			cgot, err := c.EvalAt(fsrc, w, h)
+			cgot, err := c.EvalAt(fres.MaterializeInput(), w, h)
 			if err != nil {
 				t.Fatalf("compiled EvalAt: %v", err)
 			}
 			if !bytes.Equal(cgot, want) {
 				t.Errorf("compiled result does not generalize to a fresh input")
-			}
-			pgot, err := c.EvalParallelAt(fsrc, w, h, 0)
-			if err != nil {
-				t.Fatalf("compiled EvalParallelAt: %v", err)
-			}
-			if !bytes.Equal(pgot, want) {
-				t.Errorf("parallel compiled result does not generalize to a fresh input")
 			}
 		})
 	}
@@ -433,28 +425,6 @@ func BenchmarkCompiledEvalBoxBlur(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ex.Eval(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCompiledParallelBoxBlur measures the row-strip parallel driver;
-// run with -cpu 1,2,4 to see the scaling.
-func BenchmarkCompiledParallelBoxBlur(b *testing.B) {
-	k, _ := legacy.Lookup("boxblur3")
-	inst := k.Instantiate(legacy.Config{Width: 256, Height: 256, Seed: 3})
-	res, err := lift.Lift(k.Name, target(inst))
-	if err != nil {
-		b.Fatal(err)
-	}
-	ck, err := res.Kernel.Compile()
-	if err != nil {
-		b.Fatal(err)
-	}
-	src := res.MaterializeInput()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ck.EvalParallel(src, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,5 @@
-// Package par provides the bounded, deterministic worker pool shared by
-// the parallel lifter (per-sample expression extraction) and the compiled
-// backend's parallel evaluator (row-strip rendering).  Work items are
+// Package par provides the bounded, deterministic worker pool behind the
+// parallel lifter's per-sample expression extraction.  Work items are
 // handed out in ascending order and results land at fixed positions, so
 // callers produce identical output — and report the identical first error
 // — regardless of worker count or scheduling.
@@ -14,7 +13,7 @@ import (
 
 // For covers [0, total) in ascending chunks of the given size on a pool
 // of workers.  worker(w) is called once per worker to build its body —
-// per-worker state (scratch buffers, executors) lives in that closure —
+// per-worker state (scratch buffers) lives in that closure —
 // and the body is then invoked with half-open chunk bounds.
 //
 // workers <= 0 means GOMAXPROCS; the pool never exceeds the chunk count.

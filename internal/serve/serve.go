@@ -57,10 +57,6 @@ type Options struct {
 	// (defaults 3 and 8).
 	TripAfter, ProbeAfter int
 
-	// EvalWorkers is the intra-request parallelism (default 1: requests
-	// parallelize across the pool, not inside one request).
-	EvalWorkers int
-
 	// SlowBackendDelay is the injected latency of the serve.slow-backend
 	// faultpoint (default 25ms).
 	SlowBackendDelay time.Duration
@@ -107,7 +103,6 @@ func (o Options) withDefaults() Options {
 	}
 	def(&o.TripAfter, 3)
 	def(&o.ProbeAfter, 8)
-	def(&o.EvalWorkers, 1)
 	if o.SlowBackendDelay <= 0 {
 		o.SlowBackendDelay = 25 * time.Millisecond
 	}
