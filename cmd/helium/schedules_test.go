@@ -39,7 +39,7 @@ func captureStderr(t *testing.T, fn func()) string {
 // hosts.
 func TestLoadSchedulesFileStates(t *testing.T) {
 	// The host key is dynamic; render the fixture against the real one.
-	hostSet := `{"machine":"` + schedule.HostMachineKey() + `","kernels":{"brighten":{"workers":1}}}`
+	hostSet := `{"machine":"` + schedule.HostMachineKey() + `","kernels":{"brighten":{"stages":[{"tile_w":64,"tile_h":8}]}}}`
 
 	cases := []struct {
 		name    string
@@ -66,7 +66,7 @@ func TestLoadSchedulesFileStates(t *testing.T) {
 		},
 		{
 			name:    "invalid schedule",
-			content: `{"kernels":{"brighten":{"workers":-3}}}`,
+			content: `{"kernels":{"brighten":{"window_rows":-3}}}`,
 			wantErr: true,
 		},
 		{
@@ -78,7 +78,7 @@ func TestLoadSchedulesFileStates(t *testing.T) {
 		},
 		{
 			name:    "unstamped set matches anywhere",
-			content: `{"kernels":{"brighten":{"workers":1}}}`,
+			content: `{"kernels":{"brighten":{"stages":[{"tile_w":64,"tile_h":8}]}}}`,
 			wantSet: true,
 		},
 		{
@@ -88,7 +88,7 @@ func TestLoadSchedulesFileStates(t *testing.T) {
 		},
 		{
 			name:      "other machine class",
-			content:   `{"machine":"64c/512b","kernels":{"brighten":{"workers":32}}}`,
+			content:   `{"machine":"64c/512b","kernels":{"brighten":{"stages":[{"tile_w":256,"tile_h":32}]}}}`,
 			wantSet:   true,
 			stderrHas: "machine class 64c/512b",
 		},

@@ -1,11 +1,10 @@
 // The autotuner: search the schedule space per corpus kernel and commit
 // the winners.  This is the practical payoff of the algorithm/schedule
 // split — the lifted kernel fixes WHAT to compute, `helium tune` measures
-// candidate strategies (tile extents, worker counts, materialize vs
-// sliding-window fusion) on the generated runtime, the backend that
-// serves, and records the fastest one in schedules.json, which
-// `helium gen` bakes into the generated package as each kernel's default
-// schedule.  Every candidate is verified byte for byte against the
+// candidate strategies (tile extents, materialize vs sliding-window
+// fusion) on the generated runtime, the backend that serves, and records
+// the fastest one in schedules.json, which `helium gen` bakes into the
+// generated package as each kernel's default schedule.  Every candidate is verified byte for byte against the
 // legacy binary's own output before it is timed, and the heuristic
 // default is always candidate zero, so a tuned schedule is never slower
 // than the previous hard-coded strategy on the machine that tuned it.
@@ -39,12 +38,11 @@ type tuneResult struct {
 func runTune(args []string) error {
 	fs := flag.NewFlagSet("tune", flag.ExitOnError)
 	var (
-		out        = fs.String("out", "schedules.json", "schedule set output path")
-		smoke      = fs.Bool("smoke", false, "tiny candidate grid for CI; asserts the written set round-trips")
-		width      = fs.Int("width", 256, "image width candidates are timed at")
-		height     = fs.Int("height", 192, "image height candidates are timed at")
-		seed       = fs.Uint64("seed", 1, "deterministic input pattern seed")
-		maxWorkers = fs.Int("max-workers", 0, "cap of the worker-count search (0 = GOMAXPROCS)")
+		out    = fs.String("out", "schedules.json", "schedule set output path")
+		smoke  = fs.Bool("smoke", false, "tiny candidate grid for CI; asserts the written set round-trips")
+		width  = fs.Int("width", 256, "image width candidates are timed at")
+		height = fs.Int("height", 192, "image height candidates are timed at")
+		seed   = fs.Uint64("seed", 1, "deterministic input pattern seed")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -71,7 +69,7 @@ func runTune(args []string) error {
 	}
 	var results []tuneResult
 	for _, k := range legacy.Kernels() {
-		r, err := tuneKernel(k, cfg, *smoke, *maxWorkers)
+		r, err := tuneKernel(k, cfg, *smoke)
 		if err != nil {
 			return fmt.Errorf("%s: %w", k.Name, err)
 		}
@@ -111,9 +109,8 @@ func max64f(v, lo float64) float64 {
 }
 
 // tuneKernel lifts one kernel and races the candidate grid through the
-// kernel's generated code.  maxWorkers caps the worker-count search; 0
-// searches up to GOMAXPROCS.
-func tuneKernel(k legacy.Kernel, cfg legacy.Config, smoke bool, maxWorkers int) (*tuneResult, error) {
+// kernel's generated code.
+func tuneKernel(k legacy.Kernel, cfg legacy.Config, smoke bool) (*tuneResult, error) {
 	inst := k.Instantiate(cfg)
 	res, err := lift.Lift(k.Name, target(inst))
 	if err != nil {
@@ -166,20 +163,16 @@ func tuneKernel(k legacy.Kernel, cfg legacy.Config, smoke bool, maxWorkers int) 
 		return &tuneResult{kernel: k.Name, sched: def, bestNs: ns / samples, defaultNs: ns / samples, candidates: 1}, nil
 	}
 
-	if maxWorkers <= 0 {
-		maxWorkers = runtime.GOMAXPROCS(0)
-	}
 	opts := schedule.GridOpts{
-		Stages:     1,
-		OutW:       outW,
-		OutH:       outH,
-		MaxWorkers: maxWorkers,
-		Smoke:      smoke,
+		Stages: 1,
+		OutW:   outW,
+		OutH:   outH,
+		Smoke:  smoke,
 	}
 	// Fusion candidates only for pipelines the runtime streams: two or
 	// more stages its sliding-window validation accepts.
 	if len(gk.Stages) >= 2 {
-		if _, err := gk.EvalInto(sc, &img, outW, outH, liftedkernels.ScheduleSpec{Workers: 1, Fusion: string(schedule.SlidingWindow)}); err == nil {
+		if _, err := gk.EvalInto(sc, &img, outW, outH, liftedkernels.ScheduleSpec{Fusion: string(schedule.SlidingWindow)}); err == nil {
 			opts.Stages = len(gk.Stages)
 			// The smallest per-gap window — each consumer's recorded row
 			// footprint: candidates at or below it are minimal on every gap
@@ -230,7 +223,7 @@ func tuneKernel(k legacy.Kernel, cfg legacy.Config, smoke bool, maxWorkers int) 
 // genSpec translates a schedule into the generated runtime's form — the
 // same fields `helium gen` embeds as a kernel's default.
 func genSpec(sc *schedule.Schedule) liftedkernels.ScheduleSpec {
-	spec := liftedkernels.ScheduleSpec{Workers: sc.Workers, Fusion: string(sc.FusionKind()), WindowRows: sc.WindowRows}
+	spec := liftedkernels.ScheduleSpec{Fusion: string(sc.FusionKind()), WindowRows: sc.WindowRows}
 	for _, st := range sc.Stages {
 		spec.Stages = append(spec.Stages, liftedkernels.StageSched{TileW: st.TileW, TileH: st.TileH})
 	}

@@ -40,7 +40,6 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -73,7 +72,11 @@ func main() {
 		}
 		return
 	}
-	if err := run(c.opts, c.addr, c.warm, log); err != nil {
+	// Catch signals before the (multi-second) warm-up: a SIGTERM that
+	// lands mid-warm must still drain gracefully, not kill the process.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	if err := run(c.opts, c.addr, c.warm, log, sig); err != nil {
 		fmt.Fprintf(os.Stderr, "heliumd: %v\n", err)
 		os.Exit(1)
 	}
@@ -104,7 +107,7 @@ func parseFlags(args []string, stderr io.Writer) (config, error) {
 	fs.IntVar(&c.opts.QueueDepth, "queue", 64, "admission queue depth (full queue sheds with 503)")
 	fs.IntVar(&c.opts.PerKernel, "per-kernel", 0, "per-kernel concurrency limit (0 = pool size)")
 	fs.DurationVar(&c.opts.Timeout, "timeout", 10*time.Second, "per-request execution deadline")
-	fs.DurationVar(&c.opts.DrainTimeout, "drain", 10*time.Second, "graceful shutdown drain budget")
+	fs.DurationVar(&c.opts.DrainTimeout, "drain", 0, "graceful shutdown drain budget (0 = 10s)")
 	fs.BoolVar(&c.warm, "warm", true, "lift the whole corpus before reporting ready")
 	fs.DurationVar(&c.opts.SlowBackendDelay, "fault-slow", 25*time.Millisecond, "injected delay of the serve.slow-backend faultpoint")
 	fs.IntVar(&c.opts.MaxWidth, "max-width", 2048, "largest accepted request width")
@@ -133,21 +136,16 @@ func writeRef(w io.Writer, c config) error {
 	return err
 }
 
-// run serves until SIGINT/SIGTERM, then drains gracefully.  The final
-// "heliumd: drained, bye" stays a bare stdout line — the scripted
+// run serves until a signal arrives on sig, then drains gracefully.  The
+// final "heliumd: drained, bye" stays a bare stdout line — the scripted
 // lifecycle marker CI greps for.
-func run(opts serve.Options, addr string, warm bool, log *obs.Logger) error {
+func run(opts serve.Options, addr string, warm bool, log *obs.Logger, sig <-chan os.Signal) error {
 	s := serve.New(opts)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
 	log.Info("listening", "addr", ln.Addr().String(), "pprof", opts.EnablePprof)
-
-	// Catch signals before the (multi-second) warm-up: a SIGTERM that
-	// lands mid-warm must still drain gracefully, not kill the process.
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 
 	done := make(chan error, 1)
 	go func() { done <- s.Serve(ln) }()
@@ -163,13 +161,8 @@ func run(opts serve.Options, addr string, warm bool, log *obs.Logger) error {
 	case err := <-done:
 		return err
 	case got := <-sig:
-		log.Info("draining", "signal", got.String(), "budget", opts.DrainTimeout)
-		if opts.DrainTimeout <= 0 {
-			opts.DrainTimeout = 10 * time.Second
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), opts.DrainTimeout)
-		defer cancel()
-		if err := s.Shutdown(ctx); err != nil {
+		log.Info("signal received", "signal", got.String())
+		if err := s.Drain(); err != nil {
 			return fmt.Errorf("shutdown: %w", err)
 		}
 		fmt.Println("heliumd: drained, bye")

@@ -5,11 +5,17 @@ import (
 	"errors"
 	"flag"
 	"io"
+	"net/http"
+	"os"
 	"reflect"
+	"regexp"
 	"strings"
+	"sync"
+	"syscall"
 	"testing"
 	"time"
 
+	"helium/internal/obs"
 	"helium/internal/serve"
 )
 
@@ -27,7 +33,6 @@ func TestParseFlags(t *testing.T) {
 				opts: serve.Options{
 					QueueDepth:       64,
 					Timeout:          10 * time.Second,
-					DrainTimeout:     10 * time.Second,
 					SlowBackendDelay: 25 * time.Millisecond,
 					MaxWidth:         2048,
 					MaxHeight:        2048,
@@ -107,6 +112,83 @@ func TestRefWritesReference(t *testing.T) {
 		}
 		if len(want) == 0 || !bytes.Equal(out.Bytes(), want) {
 			t.Errorf("%s: -ref wrote %d bytes, want the %d reference bytes", k, out.Len(), len(want))
+		}
+	}
+}
+
+// syncBuf is a goroutine-safe log sink.
+type syncBuf struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuf) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuf) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestRunDrainsOnSignal runs the daemon in process, delivers SIGTERM on
+// its signal channel once it serves, and checks that it drains and that
+// the logged drain budget is the one Shutdown gets: serve's 10s default
+// when -drain is unset or 0, the flag's value otherwise.
+func TestRunDrainsOnSignal(t *testing.T) {
+	addrRE := regexp.MustCompile(`addr=(\S+)`)
+	for _, tc := range []struct {
+		args   []string
+		budget string
+	}{
+		{nil, "budget=10000.000ms"},
+		{[]string{"-drain", "0"}, "budget=10000.000ms"},
+		{[]string{"-drain", "1500ms"}, "budget=1500.000ms"},
+	} {
+		c, err := parseFlags(append([]string{"-addr", "127.0.0.1:0", "-warm=false"}, tc.args...), io.Discard)
+		if err != nil {
+			t.Fatalf("parseFlags: %v", err)
+		}
+		var logs syncBuf
+		log := obs.NewLogger(&logs, obs.LevelInfo)
+		c.opts.Logger = log
+		sig := make(chan os.Signal, 1)
+		done := make(chan error, 1)
+		go func() { done <- run(c.opts, c.addr, c.warm, log, sig) }()
+
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			if time.Now().After(deadline) {
+				t.Fatalf("%q: heliumd never served /healthz; logs:\n%s", tc.args, logs.String())
+			}
+			if m := addrRE.FindStringSubmatch(logs.String()); m != nil {
+				if resp, err := http.Get("http://" + m[1] + "/healthz"); err == nil {
+					resp.Body.Close()
+					if resp.StatusCode == http.StatusOK {
+						break
+					}
+				}
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		sig <- syscall.SIGTERM
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%q: run: %v", tc.args, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%q: run did not return after SIGTERM", tc.args)
+		}
+		out := logs.String()
+		if !strings.Contains(out, "signal=terminated") {
+			t.Errorf("%q: no signal line in logs:\n%s", tc.args, out)
+		}
+		if !strings.Contains(out, "msg=draining "+tc.budget) {
+			t.Errorf("%q: drain line does not log %s:\n%s", tc.args, tc.budget, out)
 		}
 	}
 }

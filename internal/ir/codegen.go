@@ -548,10 +548,9 @@ func emitRowSet(b *strings.Builder, fg *fileGen, what string, ck *CompiledKernel
 }
 
 // emitSched writes the kernel's tuned default schedule when it differs
-// from the reference serial-materialize strategy.  Workers, fusion,
-// window and per-stage tile extents embed (tiles drive the generated
-// runtime's cache-blocked driver and, at one worker, the baked serial
-// tile nest).
+// from the reference materialize strategy.  Fusion, window and per-stage
+// tile extents embed (tiles drive the generated runtime's cache-blocked
+// driver and, for single-stage kernels, the baked tile nest).
 func emitSched(b *strings.Builder, sc *schedule.Schedule) {
 	if sc == nil {
 		return
@@ -562,11 +561,11 @@ func emitSched(b *strings.Builder, sc *schedule.Schedule) {
 			hasTiles = true
 		}
 	}
-	if sc.Workers == 0 && sc.FusionKind() == schedule.Materialize && sc.WindowRows == 0 && !hasTiles {
+	if sc.FusionKind() == schedule.Materialize && sc.WindowRows == 0 && !hasTiles {
 		return
 	}
-	fmt.Fprintf(b, "\t\tSched: ScheduleSpec{Workers: %d, Fusion: %q, WindowRows: %d",
-		sc.Workers, string(sc.FusionKind()), sc.WindowRows)
+	fmt.Fprintf(b, "\t\tSched: ScheduleSpec{Fusion: %q, WindowRows: %d",
+		string(sc.FusionKind()), sc.WindowRows)
 	if hasTiles {
 		fmt.Fprintf(b, ", Stages: []StageSched{")
 		for i, st := range sc.Stages {
@@ -580,16 +579,16 @@ func emitSched(b *strings.Builder, sc *schedule.Schedule) {
 	fmt.Fprintf(b, "},\n")
 }
 
-// emitTunedDriver writes a serial driver whose loop nest carries the
-// tuned tile extents as literal bounds — the schedule baked into the
-// code itself.  EvalTuned dispatches to it when the embedded schedule
-// resolves to one worker; the parallel path keeps the generic tiled
-// driver, which reads the same tiles from the embedded ScheduleSpec.
+// emitTunedDriver writes a driver whose loop nest carries the tuned tile
+// extents as literal bounds — the schedule baked into the code itself.
+// EvalTuned always dispatches to it; EvalInto under the embedded
+// ScheduleSpec runs the generic tiled driver over the same tiles, with the
+// same values and error.
 func emitTunedDriver(b *strings.Builder, fg *fileGen, k *Kernel, rs *rowSet, name string, tileW, tileH int) {
 	fg.needFmt = true
 	ch := k.Channels
 	fmt.Fprintf(b, "// %s renders through the tuned %dx%d tile blocking baked in as\n", name, tileW, tileH)
-	fmt.Fprintf(b, "// literal loop bounds (the embedded schedule's serial fast path).\n")
+	fmt.Fprintf(b, "// literal loop bounds (the embedded schedule's fast path).\n")
 	fmt.Fprintf(b, "func %s(sc *Scratch, img *Image, outW, outH int) ([]byte, error) {\n", name)
 	fmt.Fprintf(b, "\tconst tileW, tileH = %d, %d\n", tileW, tileH)
 	fmt.Fprintf(b, "\tout := sc.outBuf(outW * outH * %d)\n", ch)
@@ -723,8 +722,8 @@ func (ck *CompiledKernel) readFootprint() fuseGeom {
 	}
 }
 
-// emitFusedDriver writes the footprint-specialized sliding-window strip
-// body for a two-stage planar pipeline: the consumer's recorded row
+// emitFusedDriver writes the footprint-specialized sliding-window body
+// for a two-stage planar pipeline: the consumer's recorded row
 // footprint becomes literal ring geometry (ring height, slide amount,
 // pull horizon), replacing the generic fusedProduce dispatch.  The
 // runtime calls it only at the minimal window — an explicit WindowRows
@@ -747,19 +746,16 @@ func emitFusedDriver(b *strings.Builder, u GenKernel, cks []*CompiledKernel, set
 	ringRows := maxDY - minDY + 1
 	name := "fused" + ident
 	fmt.Fprintf(b, "// %s streams stage 0 through a %d-row ring sized by stage 1's\n", name, ringRows)
-	fmt.Fprintf(b, "// literal row footprint [%d,%d] — the baked sliding-window strip body.\n", minDY, maxDY)
-	fmt.Fprintf(b, "func %s(sc *Scratch, img *Image, out []byte, ws, hs []int, s0, s1 int, first, drain bool, errs []*rowErr) {\n", name)
+	fmt.Fprintf(b, "// literal row footprint [%d,%d] — the baked sliding-window body.\n", minDY, maxDY)
+	fmt.Fprintf(b, "func %s(sc *Scratch, img *Image, out []byte, ws, hs []int, errs []*rowErr) {\n", name)
 	fmt.Fprintf(b, "\tconst maxDY = %d\n", maxDY)
 	fmt.Fprintf(b, "\tconst ringRows = %d\n", ringRows)
 	fmt.Fprintf(b, "\tw0, w1 := ws[0], ws[1]\n")
-	fmt.Fprintf(b, "\tlo0 := s0 + %d\n", minDY)
-	fmt.Fprintf(b, "\tif lo0 < 0 || first {\n\t\tlo0 = 0\n\t}\n")
-	fmt.Fprintf(b, "\thi0 := s1 + maxDY\n")
-	fmt.Fprintf(b, "\tif hi0 > hs[0] || drain {\n\t\thi0 = hs[0]\n\t}\n")
+	fmt.Fprintf(b, "\th0, h1 := hs[0], hs[1]\n")
 	fmt.Fprintf(b, "\tring := sc.buf(0, ringRows*w0)\n")
 	fmt.Fprintf(b, "\trim := sc.img(0)\n")
-	fmt.Fprintf(b, "\t*rim = Image{Pix: ring, Base: -lo0 * w0, Stride: w0, PixStep: 1, Tbl: img.Tbl}\n")
-	fmt.Fprintf(b, "\tyBase, cur := lo0, lo0\n")
+	fmt.Fprintf(b, "\t*rim = Image{Pix: ring, Stride: w0, PixStep: 1, Tbl: img.Tbl}\n")
+	fmt.Fprintf(b, "\tyBase, cur := 0, 0\n")
 	fmt.Fprintf(b, "\tproduce := func(y int) bool {\n")
 	fmt.Fprintf(b, "\t\tph := y - yBase\n")
 	fmt.Fprintf(b, "\t\tif ph >= ringRows {\n")
@@ -772,8 +768,8 @@ func emitFusedDriver(b *strings.Builder, u GenKernel, cks []*CompiledKernel, set
 	fmt.Fprintf(b, "\t\tif err != nil {\n")
 	fmt.Fprintf(b, "\t\t\terrs[0] = &rowErr{y: y, x: x, c: 0, err: err}\n")
 	fmt.Fprintf(b, "\t\t\treturn false\n\t\t}\n\t\treturn true\n\t}\n")
-	fmt.Fprintf(b, "\tfor y := s0; y < s1; y++ {\n")
-	fmt.Fprintf(b, "\t\tfor top := y + maxDY; cur <= top && cur < hi0; cur++ {\n")
+	fmt.Fprintf(b, "\tfor y := 0; y < h1; y++ {\n")
+	fmt.Fprintf(b, "\t\tfor top := y + maxDY; cur <= top && cur < h0; cur++ {\n")
 	fmt.Fprintf(b, "\t\t\tif !produce(cur) {\n\t\t\t\treturn\n\t\t\t}\n\t\t}\n")
 	fmt.Fprintf(b, "\t\tx, err := %s(out[y*w1:], 1, rim, y+%d, %d, w1)\n", sets[1].rows[0], u.Stages[1].OriginY, u.Stages[1].OriginX)
 	fmt.Fprintf(b, "\t\tif err != nil {\n")
@@ -781,7 +777,7 @@ func emitFusedDriver(b *strings.Builder, u GenKernel, cks []*CompiledKernel, set
 	fmt.Fprintf(b, "\t\t\tbreak\n\t\t}\n\t}\n")
 	fmt.Fprintf(b, "\t// Drain: the materializing chain computes every producer row, so a\n")
 	fmt.Fprintf(b, "\t// fault above the consumed range must still surface.\n")
-	fmt.Fprintf(b, "\tfor ; cur < hi0; cur++ {\n")
+	fmt.Fprintf(b, "\tfor ; cur < h0; cur++ {\n")
 	fmt.Fprintf(b, "\t\tif !produce(cur) {\n\t\t\treturn\n\t\t}\n\t}\n")
 	fmt.Fprintf(b, "}\n\n")
 	return name

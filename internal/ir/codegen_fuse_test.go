@@ -176,7 +176,7 @@ func (g *fuseTreeGen) tree(depth int) *Expr {
 
 // TestFusedRandomChains is the fusion property test: random 2-4 stage
 // pipelines, evaluated by the generated runtime materializing and fused
-// under every window size x worker count, must agree bit-exactly with
+// under every window size, must agree bit-exactly with
 // each other and with the interpreter chain — values, error positions
 // and error messages.
 func TestFusedRandomChains(t *testing.T) {
@@ -198,9 +198,7 @@ func TestFusedRandomChains(t *testing.T) {
 	}
 	var scheds strings.Builder
 	for _, win := range []int{0, 2, 7} {
-		for _, workers := range []int{1, 2, 5} {
-			fmt.Fprintf(&scheds, "\n\t{Fusion: \"slidingWindow\", WindowRows: %d, Workers: %d},", win, workers)
-		}
+		fmt.Fprintf(&scheds, "\n\t{Fusion: \"slidingWindow\", WindowRows: %d},", win)
 	}
 	scheds.WriteString("\n")
 	results := runFusionHarness(t, units, planes, scheds.String())
@@ -251,8 +249,7 @@ func TestFusedProducerErrorDominates(t *testing.T) {
 	clean := chainFromTrees("clean", []*Expr{zext(Load(0, 0, 0)), consumer}, outW, outH)
 	units := []GenKernel{dominated, clean}
 	results := runFusionHarness(t, units, map[string]*image.Plane{"": srcPlane}, `
-	{Fusion: "slidingWindow", Workers: 1},
-	{Fusion: "slidingWindow", Workers: 3},
+	{Fusion: "slidingWindow"},
 `)
 	for _, u := range units {
 		if !checkAgainstInterp(t, u, srcPlane, results[u.Name]) {
@@ -281,7 +278,7 @@ func TestFusedRingStaysSmall(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The horizontal pass reads a single tmp row per output row: its
-	// recorded footprint is one row, and the baked strip driver's ring
+	// recorded footprint is one row, and the baked sliding-window ring
 	// holds exactly that.
 	if !strings.Contains(src, "MinDY: 0, MaxDY: 0,") {
 		t.Error("consumer stage does not record a one-row footprint")
@@ -359,7 +356,7 @@ func main() {
 	}
 }
 
-// TestFusedUnconsumedLowProducerRows pins the first-strip coverage rule:
+// TestFusedUnconsumedLowProducerRows pins the producer coverage rule:
 // when a consumer's footprint starts below its producer's row 0 (positive
 // MinDY), the producer rows no consumer ever pulls must still be
 // computed — the materializing chain computes every producer row, and a
@@ -379,9 +376,7 @@ func TestFusedUnconsumedLowProducerRows(t *testing.T) {
 	plane.FillPattern(7)
 	results := runFusionHarness(t, []GenKernel{{Name: "lowrows", Stages: []*Kernel{p, c}}},
 		map[string]*image.Plane{"": plane}, `
-	{Fusion: "slidingWindow", Workers: 1},
-	{Fusion: "slidingWindow", Workers: 2},
-	{Fusion: "slidingWindow", Workers: 4},
+	{Fusion: "slidingWindow"},
 `)
 	if got := results["lowrows"]; got[0] != "ERR" || !strings.HasPrefix(got[1], "ir: kernel lowrows stage 0 at (0,0,0): ") {
 		t.Fatalf("materializing chain did not fault on the unconsumed producer row: %v", got)

@@ -49,16 +49,16 @@ func TestGenerateRejectsDuplicateNames(t *testing.T) {
 // genHarness materializes a module holding the generated package plus a
 // main that evaluates every kernel against the embedded differential plane
 // and prints one tab-separated line per kernel: name, OK/ERR, hex output
-// or error text.  Alongside the serial reference Eval, every kernel
-// re-runs under non-default schedules (worker strips; sliding-window
-// fusion for multi-stage kernels) and the harness itself asserts the
-// result — values or error text — is identical.
+// or error text.  Alongside the reference Eval, every kernel re-runs
+// under non-default schedules (cache tiles; sliding-window fusion for
+// multi-stage kernels) and the harness itself asserts the result — values
+// or error text — is identical.
 func genHarness(t *testing.T, dir, kernelsSrc string, plane *image.Plane) {
 	t.Helper()
 	genHarnessWith(t, dir, kernelsSrc, map[string]*image.Plane{"": plane}, `
-	{Workers: 3},
-	{Workers: 2, Fusion: "slidingWindow", WindowRows: 2},
-	{Workers: 1, Fusion: "slidingWindow"},
+	{Stages: []lk.StageSched{{TileW: 3, TileH: 2}}},
+	{Fusion: "slidingWindow", WindowRows: 2},
+	{Fusion: "slidingWindow"},
 `)
 }
 
@@ -375,7 +375,7 @@ func evalStagedRef(stages []*Kernel, src Source) ([]byte, error) {
 // TestGeneratedStagedAndReduction compiles multi-stage units — including
 // a pipeline that chains a reduction after a stencil stage — with the
 // real toolchain and checks values against the interpreter chain, plus
-// (via the harness's schedule re-runs) that worker strips and
+// (via the harness's schedule re-runs) that cache tiles and
 // sliding-window fusion reproduce Eval exactly, faults included.
 func TestGeneratedStagedAndReduction(t *testing.T) {
 	needToolchain(t)

@@ -3,12 +3,13 @@ package lift
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"helium/internal/ir"
 	"helium/internal/isa"
-	"helium/internal/par"
 	"helium/internal/trace"
 )
 
@@ -150,7 +151,7 @@ func extractTrees(tr *trace.InstTrace, prog *isa.Program, bufs *Buffers, workers
 	// very uneven per-sample slicing cost.
 	var mu sync.Mutex
 	var tables []*exprTable
-	err := par.For(total, 1, workers, func(int) func(int, int) error {
+	err := parallelFor(total, 1, workers, func(int) func(int, int) error {
 		ex := newExtractor(tr, prog, bufs, abs)
 		ex.outWrites = outWrites
 		if testHookTable != nil {
@@ -178,6 +179,79 @@ func extractTrees(tr *trace.InstTrace, prog *isa.Program, bufs *Buffers, workers
 		return nil, err
 	}
 	return trees, nil
+}
+
+// parallelFor is the bounded, deterministic worker pool behind the
+// per-sample extraction: it covers [0, total) in ascending chunks of the
+// given size on a pool of workers.  worker(w) is called once per worker
+// to build its body — per-worker state (scratch buffers) lives in that
+// closure — and the body is then invoked with half-open chunk bounds.
+//
+// workers <= 0 means GOMAXPROCS; the pool never exceeds the chunk count.
+// A worker stops at its first error.  parallelFor returns the error of the
+// lowest-start failing chunk: chunks are handed out in ascending order
+// and every chunk before the first failing one succeeded, so that error
+// is exactly the one a serial ascending scan would hit first.
+func parallelFor(total, chunk, workers int, worker func(w int) func(start, end int) error) error {
+	if total <= 0 {
+		return nil
+	}
+	if chunk < 1 {
+		chunk = 1
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if maxWorkers := (total + chunk - 1) / chunk; workers > maxWorkers {
+		workers = maxWorkers
+	}
+
+	if workers == 1 {
+		body := worker(0)
+		for start := 0; start < total; start += chunk {
+			if err := body(start, min(start+chunk, total)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+
+	var cursor atomic.Int64
+	type chunkErr struct {
+		start int
+		err   error
+	}
+	errs := make([]chunkErr, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			body := worker(w)
+			for {
+				start := int(cursor.Add(int64(chunk))) - chunk
+				if start >= total {
+					return
+				}
+				if err := body(start, min(start+chunk, total)); err != nil {
+					errs[w] = chunkErr{start: start, err: err}
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	best := -1
+	for i := range errs {
+		if errs[i].err != nil && (best < 0 || errs[i].start < errs[best].start) {
+			best = i
+		}
+	}
+	if best >= 0 {
+		return errs[best].err
+	}
+	return nil
 }
 
 // outputWrites lists, in trace order, the positions whose effects wrote

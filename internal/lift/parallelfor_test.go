@@ -1,4 +1,4 @@
-package par
+package lift
 
 import (
 	"fmt"
@@ -6,14 +6,14 @@ import (
 	"testing"
 )
 
-// TestForCoversEverything checks every index is visited exactly once for
-// assorted totals, chunk sizes and worker counts.
-func TestForCoversEverything(t *testing.T) {
+// TestParallelForCoversEverything checks every index is visited exactly
+// once for assorted totals, chunk sizes and worker counts.
+func TestParallelForCoversEverything(t *testing.T) {
 	for _, total := range []int{0, 1, 7, 64, 1000} {
 		for _, chunk := range []int{1, 3, 16} {
 			for _, workers := range []int{1, 2, 5, 0} {
 				hits := make([]int32, total)
-				err := For(total, chunk, workers, func(int) func(int, int) error {
+				err := parallelFor(total, chunk, workers, func(int) func(int, int) error {
 					return func(start, end int) error {
 						for i := start; i < end; i++ {
 							atomic.AddInt32(&hits[i], 1)
@@ -22,11 +22,11 @@ func TestForCoversEverything(t *testing.T) {
 					}
 				})
 				if err != nil {
-					t.Fatalf("For(%d,%d,%d): %v", total, chunk, workers, err)
+					t.Fatalf("parallelFor(%d,%d,%d): %v", total, chunk, workers, err)
 				}
 				for i, h := range hits {
 					if h != 1 {
-						t.Fatalf("For(%d,%d,%d): index %d visited %d times", total, chunk, workers, i, h)
+						t.Fatalf("parallelFor(%d,%d,%d): index %d visited %d times", total, chunk, workers, i, h)
 					}
 				}
 			}
@@ -34,13 +34,13 @@ func TestForCoversEverything(t *testing.T) {
 	}
 }
 
-// TestForReportsLowestError checks the deterministic error guarantee:
-// with several failing chunks, every worker count reports the error of
-// the lowest-start one, exactly like a serial scan.
-func TestForReportsLowestError(t *testing.T) {
+// TestParallelForReportsLowestError checks the deterministic error
+// guarantee: with several failing chunks, every worker count reports the
+// error of the lowest-start one, exactly like a serial scan.
+func TestParallelForReportsLowestError(t *testing.T) {
 	failAt := map[int]bool{40: true, 12: true, 90: true}
 	for _, workers := range []int{1, 2, 4, 8} {
-		err := For(100, 1, workers, func(int) func(int, int) error {
+		err := parallelFor(100, 1, workers, func(int) func(int, int) error {
 			return func(start, end int) error {
 				if failAt[start] {
 					return fmt.Errorf("chunk %d failed", start)
@@ -54,11 +54,11 @@ func TestForReportsLowestError(t *testing.T) {
 	}
 }
 
-// TestForPerWorkerState checks worker(w) runs once per worker and bodies
-// see only their own closure state.
-func TestForPerWorkerState(t *testing.T) {
+// TestParallelForPerWorkerState checks worker(w) runs once per worker and
+// bodies see only their own closure state.
+func TestParallelForPerWorkerState(t *testing.T) {
 	var built atomic.Int32
-	err := For(64, 4, 4, func(int) func(int, int) error {
+	err := parallelFor(64, 4, 4, func(int) func(int, int) error {
 		built.Add(1)
 		sum := 0
 		return func(start, end int) error {

@@ -14,7 +14,7 @@ import (
 // schedule specs, holding it to the legacy binary's own output.
 
 // TestScheduledCorpusMatchesVM runs every corpus kernel under a spread of
-// schedules — materialize with explicit tiles and worker counts, and (for
+// schedules — materialize with explicit tiles, and (for
 // multi-stage pipelines) sliding-window fusion at several window sizes —
 // and demands byte-exact agreement with the legacy binary's own output.
 // This is the schedule layer's core contract: a schedule changes only the
@@ -51,14 +51,13 @@ func TestScheduledCorpusMatchesVM(t *testing.T) {
 		}
 		specs := []liftedkernels.ScheduleSpec{
 			{},
-			{Workers: 1},
-			{Workers: 4, Stages: tiles(16, 4)},
-			{Workers: 3, Stages: tiles(8, 2)},
+			{Stages: tiles(16, 4)},
+			{Stages: tiles(8, 2)},
 		}
 		if len(gk.Stages) >= 2 {
 			specs = append(specs,
 				liftedkernels.ScheduleSpec{Fusion: "slidingWindow"},
-				liftedkernels.ScheduleSpec{Fusion: "slidingWindow", WindowRows: 5, Workers: 4},
+				liftedkernels.ScheduleSpec{Fusion: "slidingWindow", WindowRows: 5},
 			)
 		}
 		w, h := res.EvalDims()

@@ -39,11 +39,8 @@ func liftInput(t *testing.T, k legacy.Kernel, cfg legacy.Config) (*liftedkernels
 
 // TestEvalIntoSteadyStateAllocFree drives every corpus kernel through
 // the reusable-scratch entry points and demands AllocsPerRun report
-// exactly zero in steady state, under both the serial default and the
-// kernel's embedded tuned schedule (forced to one worker — spawning
-// goroutines allocates by construction, so the parallel path's scratch
-// reuse is covered by the per-worker sub-scratches it draws from the
-// same Scratch).
+// exactly zero in steady state, under both the reference schedule and the
+// kernel's embedded tuned schedule.
 func TestEvalIntoSteadyStateAllocFree(t *testing.T) {
 	cfg := legacy.Config{Width: 64, Height: 48, Seed: 3}
 	for _, k := range legacy.Kernels() {
@@ -57,14 +54,9 @@ func TestEvalIntoSteadyStateAllocFree(t *testing.T) {
 			name string
 			spec liftedkernels.ScheduleSpec
 		}{
-			{"serial", liftedkernels.Serial()},
+			{"reference", liftedkernels.ScheduleSpec{}},
+			{"embedded-schedule", gk.Sched},
 		}
-		tuned := gk.Sched
-		tuned.Workers = 1
-		specs = append(specs, struct {
-			name string
-			spec liftedkernels.ScheduleSpec
-		}{"embedded-schedule", tuned})
 
 		for _, s := range specs {
 			sc := new(liftedkernels.Scratch)

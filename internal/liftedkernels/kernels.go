@@ -52,7 +52,7 @@ func init() {
 			},
 		},
 		FusedStrip: fusedBlur2p,
-		Sched:      ScheduleSpec{Workers: 0, Fusion: "slidingWindow", WindowRows: 0},
+		Sched:      ScheduleSpec{Fusion: "slidingWindow", WindowRows: 0},
 	})
 }
 
@@ -259,23 +259,16 @@ func rowBlur2pS1C0(dst []byte, step int, img *Image, y, xbase, n int) (int, erro
 }
 
 // fusedBlur2p streams stage 0 through a 3-row ring sized by stage 1's
-// literal row footprint [0,2] — the baked sliding-window strip body.
-func fusedBlur2p(sc *Scratch, img *Image, out []byte, ws, hs []int, s0, s1 int, first, drain bool, errs []*rowErr) {
+// literal row footprint [0,2] — the baked sliding-window body.
+func fusedBlur2p(sc *Scratch, img *Image, out []byte, ws, hs []int, errs []*rowErr) {
 	const maxDY = 2
 	const ringRows = 3
 	w0, w1 := ws[0], ws[1]
-	lo0 := s0 + 0
-	if lo0 < 0 || first {
-		lo0 = 0
-	}
-	hi0 := s1 + maxDY
-	if hi0 > hs[0] || drain {
-		hi0 = hs[0]
-	}
+	h0, h1 := hs[0], hs[1]
 	ring := sc.buf(0, ringRows*w0)
 	rim := sc.img(0)
-	*rim = Image{Pix: ring, Base: -lo0 * w0, Stride: w0, PixStep: 1, Tbl: img.Tbl}
-	yBase, cur := lo0, lo0
+	*rim = Image{Pix: ring, Stride: w0, PixStep: 1, Tbl: img.Tbl}
+	yBase, cur := 0, 0
 	produce := func(y int) bool {
 		ph := y - yBase
 		if ph >= ringRows {
@@ -291,8 +284,8 @@ func fusedBlur2p(sc *Scratch, img *Image, out []byte, ws, hs []int, s0, s1 int, 
 		}
 		return true
 	}
-	for y := s0; y < s1; y++ {
-		for top := y + maxDY; cur <= top && cur < hi0; cur++ {
+	for y := 0; y < h1; y++ {
+		for top := y + maxDY; cur <= top && cur < h0; cur++ {
 			if !produce(cur) {
 				return
 			}
@@ -305,7 +298,7 @@ func fusedBlur2p(sc *Scratch, img *Image, out []byte, ws, hs []int, s0, s1 int, 
 	}
 	// Drain: the materializing chain computes every producer row, so a
 	// fault above the consumed range must still surface.
-	for ; cur < hi0; cur++ {
+	for ; cur < h0; cur++ {
 		if !produce(cur) {
 			return
 		}
@@ -594,7 +587,7 @@ func init() {
 		LaneBits:      []int{32},
 		Rows:          []RowFunc{rowClampsharpC0},
 		Tuned:         tunedClampsharp,
-		Sched:         ScheduleSpec{Workers: 0, Fusion: "materialize", WindowRows: 0, Stages: []StageSched{{TileW: 256, TileH: 32}}},
+		Sched:         ScheduleSpec{Fusion: "materialize", WindowRows: 0, Stages: []StageSched{{TileW: 256, TileH: 32}}},
 	})
 }
 
@@ -824,7 +817,7 @@ func rowClampsharpC0(dst []byte, step int, img *Image, y, xbase, n int) (int, er
 }
 
 // tunedClampsharp renders through the tuned 256x32 tile blocking baked in as
-// literal loop bounds (the embedded schedule's serial fast path).
+// literal loop bounds (the embedded schedule's fast path).
 func tunedClampsharp(sc *Scratch, img *Image, outW, outH int) ([]byte, error) {
 	const tileW, tileH = 256, 32
 	out := sc.outBuf(outW * outH * 1)
@@ -875,7 +868,7 @@ func init() {
 		LaneBits:      []int{16},
 		Rows:          []RowFunc{rowDownsample2xC0},
 		Tuned:         tunedDownsample2x,
-		Sched:         ScheduleSpec{Workers: 0, Fusion: "materialize", WindowRows: 0, Stages: []StageSched{{TileW: 128, TileH: 16}}},
+		Sched:         ScheduleSpec{Fusion: "materialize", WindowRows: 0, Stages: []StageSched{{TileW: 128, TileH: 16}}},
 	})
 }
 
@@ -1001,7 +994,7 @@ func rowDownsample2xC0(dst []byte, step int, img *Image, y, xbase, n int) (int, 
 }
 
 // tunedDownsample2x renders through the tuned 128x16 tile blocking baked in as
-// literal loop bounds (the embedded schedule's serial fast path).
+// literal loop bounds (the embedded schedule's fast path).
 func tunedDownsample2x(sc *Scratch, img *Image, outW, outH int) ([]byte, error) {
 	const tileW, tileH = 128, 16
 	out := sc.outBuf(outW * outH * 1)
@@ -1162,7 +1155,7 @@ func init() {
 			Row:    redHisteq,
 		},
 		RedFirst: true,
-		Sched:    ScheduleSpec{Workers: 0, Fusion: "materialize", WindowRows: 0, Stages: []StageSched{{TileW: 128, TileH: 16}}},
+		Sched:    ScheduleSpec{Fusion: "materialize", WindowRows: 0, Stages: []StageSched{{TileW: 128, TileH: 16}}},
 	})
 }
 
@@ -2205,7 +2198,7 @@ func init() {
 		LaneBits:      []int{8},
 		Rows:          []RowFunc{rowUpsample2xC0},
 		Tuned:         tunedUpsample2x,
-		Sched:         ScheduleSpec{Workers: 0, Fusion: "materialize", WindowRows: 0, Stages: []StageSched{{TileW: 128, TileH: 16}}},
+		Sched:         ScheduleSpec{Fusion: "materialize", WindowRows: 0, Stages: []StageSched{{TileW: 128, TileH: 16}}},
 	})
 }
 
@@ -2241,7 +2234,7 @@ func rowUpsample2xC0(dst []byte, step int, img *Image, y, xbase, n int) (int, er
 }
 
 // tunedUpsample2x renders through the tuned 128x16 tile blocking baked in as
-// literal loop bounds (the embedded schedule's serial fast path).
+// literal loop bounds (the embedded schedule's fast path).
 func tunedUpsample2x(sc *Scratch, img *Image, outW, outH int) ([]byte, error) {
 	const tileW, tileH = 128, 16
 	out := sc.outBuf(outW * outH * 1)

@@ -5,6 +5,7 @@ package liftedkernels_test
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"helium/internal/legacy"
@@ -69,10 +70,9 @@ func TestGeneratedKernelsMatchVM(t *testing.T) {
 }
 
 // TestGeneratedHonorsScheduleSpec pins the generated runtime's schedule
-// layer: every kernel re-run under non-default schedules — parallel row
-// strips, GOMAXPROCS workers, sliding-window fusion for the multi-stage
-// pipeline, and the embedded autotuned schedule — must reproduce the
-// serial reference Eval byte for byte.
+// layer: every kernel re-run under non-default schedules — cache tiles,
+// sliding-window fusion for the multi-stage pipeline, and the embedded
+// autotuned schedule — must reproduce the reference Eval byte for byte.
 func TestGeneratedHonorsScheduleSpec(t *testing.T) {
 	cfg := legacy.Config{Width: 28, Height: 21, Seed: 4}
 	fusedSeen := false
@@ -103,14 +103,13 @@ func TestGeneratedHonorsScheduleSpec(t *testing.T) {
 			t.Fatalf("%s: reference eval: %v", k.Name, err)
 		}
 		specs := []liftedkernels.ScheduleSpec{
-			{Workers: 3},
-			{Workers: -1}, // GOMAXPROCS
+			{Stages: []liftedkernels.StageSched{{TileW: 5, TileH: 3}}},
 		}
 		if len(gk.Stages) >= 2 {
 			fusedSeen = true
 			specs = append(specs,
-				liftedkernels.ScheduleSpec{Workers: 1, Fusion: "slidingWindow"},
-				liftedkernels.ScheduleSpec{Workers: 4, Fusion: "slidingWindow", WindowRows: 5},
+				liftedkernels.ScheduleSpec{Fusion: "slidingWindow"},
+				liftedkernels.ScheduleSpec{Fusion: "slidingWindow", WindowRows: 5},
 			)
 		}
 		for _, spec := range specs {
@@ -192,10 +191,9 @@ func TestBlur2pFusedBitExactAndSmall(t *testing.T) {
 		t.Fatal("materializing baseline does not match the VM")
 	}
 	for _, spec := range []liftedkernels.ScheduleSpec{
-		{Fusion: "slidingWindow", Workers: 1},
-		{Fusion: "slidingWindow", Workers: 1, WindowRows: 8},
-		{Fusion: "slidingWindow", Workers: 4},
-		{Fusion: "slidingWindow", Workers: 4, WindowRows: 6},
+		{Fusion: "slidingWindow"},
+		{Fusion: "slidingWindow", WindowRows: 8},
+		{Fusion: "slidingWindow", WindowRows: 6},
 	} {
 		got, err := gk.EvalSched(&img, w, h, spec)
 		if err != nil {
@@ -233,7 +231,7 @@ func TestFusedRejectsFootprintOverreads(t *testing.T) {
 			Stages: []liftedkernels.StageSpec{s0, s1}}
 	}
 	img := &liftedkernels.Image{Pix: make([]byte, 256), Stride: 16, PixStep: 1}
-	sliding := liftedkernels.ScheduleSpec{Workers: 1, Fusion: "slidingWindow"}
+	sliding := liftedkernels.ScheduleSpec{Fusion: "slidingWindow"}
 
 	if _, err := mk(liftedkernels.StageSpec{MinDY: 0, MaxDY: 0}).EvalSched(img, 8, 8, sliding); err != nil {
 		t.Fatalf("in-footprint chain must fuse: %v", err)
@@ -253,7 +251,7 @@ func TestFusedRejectsFootprintOverreads(t *testing.T) {
 }
 
 // TestFusedCoversUnconsumedProducerRows pins the generated runtime's
-// strip coverage: producer rows below the consumers' footprint (positive
+// producer coverage: producer rows below the consumers' footprint (positive
 // MinDY) and above it are still produced under sliding-window fusion, so
 // a fault confined to them is reported exactly as Eval reports it.
 func TestFusedCoversUnconsumedProducerRows(t *testing.T) {
@@ -283,14 +281,58 @@ func TestFusedCoversUnconsumedProducerRows(t *testing.T) {
 		k := mk(badY)
 		_, werr := k.Eval(img, w, h)
 		if werr == nil {
-			t.Fatalf("badY=%d: serial reference did not fault", badY)
+			t.Fatalf("badY=%d: materializing reference did not fault", badY)
 		}
-		for _, workers := range []int{1, 3} {
-			_, gerr := k.EvalSched(img, w, h, liftedkernels.ScheduleSpec{
-				Workers: workers, Fusion: "slidingWindow"})
-			if gerr == nil || gerr.Error() != werr.Error() {
-				t.Errorf("badY=%d workers=%d: fused error %q, want %q", badY, workers, gerr, werr)
-			}
+		_, gerr := k.EvalSched(img, w, h, liftedkernels.ScheduleSpec{Fusion: "slidingWindow"})
+		if gerr == nil || gerr.Error() != werr.Error() {
+			t.Errorf("badY=%d: fused error %q, want %q", badY, gerr, werr)
 		}
+	}
+}
+
+// TestEvalTunedRunsBakedDriver pins the function serve calls and perfbench
+// times, EvalTunedInto, to the schedule-baked Tuned driver wherever the
+// generator emitted one, at GOMAXPROCS >= 2: the dispatch must not depend
+// on the host's core count.  Each kernel runs through a copy whose Tuned
+// is wrapped with a counter, and must return the embedded schedule's
+// bytes.
+func TestEvalTunedRunsBakedDriver(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	cfg := legacy.Config{Width: 37, Height: 22, Seed: 6}
+	baked := 0
+	for _, k := range legacy.Kernels() {
+		gk, ok := liftedkernels.Lookup(k.Name)
+		if !ok {
+			t.Fatalf("%s: not in the generated registry", k.Name)
+		}
+		if gk.Tuned == nil {
+			continue
+		}
+		baked++
+		img, w, h := liftInput(t, k, cfg)
+		want, err := gk.EvalSched(img, w, h, gk.Sched)
+		if err != nil {
+			t.Fatalf("%s: EvalSched: %v", k.Name, err)
+		}
+		calls := 0
+		kc := *gk
+		kc.Tuned = func(sc *liftedkernels.Scratch, img *liftedkernels.Image, outW, outH int) ([]byte, error) {
+			calls++
+			return gk.Tuned(sc, img, outW, outH)
+		}
+		got, err := kc.EvalTunedInto(new(liftedkernels.Scratch), img, w, h)
+		if err != nil {
+			t.Fatalf("%s: EvalTunedInto: %v", k.Name, err)
+		}
+		if calls != 1 {
+			t.Errorf("%s: EvalTunedInto ran the baked Tuned driver %d times at GOMAXPROCS %d, want 1",
+				k.Name, calls, runtime.GOMAXPROCS(0))
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: EvalTunedInto differs from EvalSched under the embedded schedule", k.Name)
+		}
+	}
+	if baked == 0 {
+		t.Fatal("no generated kernel has a baked Tuned driver")
 	}
 }

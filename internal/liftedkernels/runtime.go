@@ -8,16 +8,18 @@
 //
 // Values, error positions and error messages are bit-identical to the
 // helium/internal/ir interpreter and register executors — under every
-// ScheduleSpec: a schedule changes only the execution strategy (worker
-// count, stage fusion), never the result.  The generator's differential
+// ScheduleSpec: a schedule changes only the execution strategy (tile
+// blocking, stage fusion), never the result.  The generator's differential
 // tests enforce this with the real toolchain.
+//
+// Every call renders serially on the calling goroutine: a host that
+// serves many images in parallel runs many calls at once, one scratch
+// each, rather than splitting one call across cores.
 package liftedkernels
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 )
 
 // Image is a flat 8-bit pixel backing: channel c of pixel (x, y) lives at
@@ -46,11 +48,8 @@ type RowFunc func(dst []byte, step int, img *Image, y, xbase, n int) (int, error
 type RowAllFunc func(dst []byte, img *Image, y, xbase, n int) (int, int, error)
 
 // ScheduleSpec selects an execution strategy.  The zero value is the
-// production default: GOMAXPROCS workers, materializing stage chaining.
+// reference schedule: straight row strips, materializing stage chaining.
 type ScheduleSpec struct {
-	// Workers is the row-strip worker count; <= 0 means GOMAXPROCS, 1 is
-	// the serial reference.
-	Workers int
 	// Fusion is the inter-stage strategy of multi-stage pipelines:
 	// "" or "materialize" computes every stage fully into a fresh
 	// intermediate buffer; "slidingWindow" streams the stages through
@@ -78,17 +77,6 @@ func (s ScheduleSpec) stageTile(i int) (int, int) {
 	}
 	return s.Stages[i].TileW, s.Stages[i].TileH
 }
-
-// effWorkers resolves the worker count (<= 0 means GOMAXPROCS).
-func (s ScheduleSpec) effWorkers() int {
-	if s.Workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return s.Workers
-}
-
-// Serial is the reference schedule: one worker, materializing chaining.
-func Serial() ScheduleSpec { return ScheduleSpec{Workers: 1} }
 
 // Kernel is one regenerated stencil kernel.
 type Kernel struct {
@@ -125,20 +113,19 @@ type Kernel struct {
 	// Sched is the autotuned default schedule (zero when the kernel was
 	// generated without one); EvalTuned runs it.
 	Sched ScheduleSpec
-	// Tuned, when non-nil, is the generated schedule-baked serial driver:
-	// the autotuned tile extents are literal constants in its loop nest.
-	// EvalTuned dispatches to it when Sched resolves to one worker.
+	// Tuned, when non-nil, is the generated schedule-baked driver: the
+	// autotuned tile extents are literal constants in its loop nest.
+	// EvalTuned dispatches to it.
 	Tuned func(sc *Scratch, img *Image, outW, outH int) ([]byte, error)
 	// FusedStrip, when non-nil, is the generated footprint-specialized
-	// sliding-window strip driver; the fused executor dispatches to it at
-	// the minimal window instead of the generic ring interpreter.
+	// sliding-window driver; the fused executor dispatches to it at the
+	// minimal window instead of the generic ring interpreter.
 	FusedStrip FusedStripFunc
 }
 
-// FusedStripFunc streams one worker strip of final-stage rows [s0, s1)
-// through a fused pipeline, writing each stage's first error (nil for
-// clean stages) into errs.
-type FusedStripFunc func(sc *Scratch, img *Image, out []byte, ws, hs []int, s0, s1 int, first, drain bool, errs []*rowErr)
+// FusedStripFunc streams every final-stage row through a fused pipeline,
+// writing each stage's first error (nil for clean stages) into errs.
+type FusedStripFunc func(sc *Scratch, img *Image, out []byte, ws, hs []int, errs []*rowErr)
 
 // StageSpec is one stage of a multi-stage pipeline.  DW and DH are the
 // stage's output extents minus the final extents (the last stage's for
@@ -171,21 +158,19 @@ type ReductionSpec struct {
 }
 
 // Scratch holds the reusable buffers of EvalInto: the output, stage
-// intermediates and fused ring planes, the reduction bins, and per-worker
-// sub-scratches for the parallel fused path.  A zero Scratch is ready to
-// use; buffers grow on demand and persist, so a caller rendering frames
-// in a loop reaches a zero-allocation steady state.  Results returned
-// through a Scratch alias its buffers and are only valid until its next
-// use.
+// intermediates and fused ring planes, and the reduction bins.  A zero
+// Scratch is ready to use; buffers grow on demand and persist, so a
+// caller rendering frames in a loop reaches a zero-allocation steady
+// state.  Results returned through a Scratch alias its buffers and are
+// only valid until its next use.
 type Scratch struct {
-	out   []byte
-	bufs  [][]byte
-	imgs  []Image
-	errs  []*rowErr
-	fs    []fusedStage
-	dims  []int
-	bins  []uint32
-	procs []*Scratch
+	out  []byte
+	bufs [][]byte
+	imgs []Image
+	errs []*rowErr
+	fs   []fusedStage
+	dims []int
+	bins []uint32
 }
 
 // outBuf returns the reusable result buffer at length n.
@@ -257,15 +242,6 @@ func (sc *Scratch) binsBuf(n int) []uint32 {
 	return sc.bins[:n]
 }
 
-// worker returns worker t's own scratch: the parallel fused path gives
-// every strip private ring planes that persist across evals.
-func (sc *Scratch) worker(t int) *Scratch {
-	for len(sc.procs) <= t {
-		sc.procs = append(sc.procs, &Scratch{})
-	}
-	return sc.procs[t]
-}
-
 var registry = map[string]*Kernel{}
 
 func register(k *Kernel) { registry[k.Name] = k }
@@ -287,26 +263,26 @@ func Kernels() []*Kernel {
 }
 
 // Eval renders an outW x outH output region against img in row-major
-// sample order with the serial reference schedule, exactly like the
+// sample order with the reference schedule, exactly like the
 // lifting pipeline's evaluators: when several channels fault on one row,
 // the reported error is the one an x-then-c per-sample scan hits first.
 // Multi-stage kernels chain their stages through intermediate buffers;
 // reductions treat outW x outH as the domain and return the serialized
 // bin table.
 func (k *Kernel) Eval(img *Image, outW, outH int) ([]byte, error) {
-	return k.EvalSched(img, outW, outH, Serial())
+	return k.EvalSched(img, outW, outH, ScheduleSpec{})
 }
 
 // EvalTuned is Eval under the kernel's autotuned default schedule.  When
-// the schedule resolves to one worker and the generator baked a serial
-// tuned driver, that driver runs instead of the generic dispatch.
+// the generator baked a tuned driver, that driver runs instead of the
+// generic dispatch.
 func (k *Kernel) EvalTuned(img *Image, outW, outH int) ([]byte, error) {
 	return k.EvalTunedInto(new(Scratch), img, outW, outH)
 }
 
 // EvalTunedInto is EvalTuned against caller-owned scratch.
 func (k *Kernel) EvalTunedInto(sc *Scratch, img *Image, outW, outH int) ([]byte, error) {
-	if k.Tuned != nil && k.Sched.effWorkers() == 1 {
+	if k.Tuned != nil {
 		return k.Tuned(sc, img, outW, outH)
 	}
 	return k.EvalInto(sc, img, outW, outH, k.Sched)
@@ -360,9 +336,9 @@ func (k *Kernel) EvalInto(sc *Scratch, img *Image, outW, outH int, spec Schedule
 	out := sc.outBuf(outW * outH * k.Channels)
 	var e *rowErr
 	if tw, th := spec.stageTile(0); tw > 0 || th > 0 {
-		e = evalTiled(out, img, k.Channels, k.OriginX, k.OriginY, outW, outH, tw, th, spec.Workers, k.Rows, k.RowAll)
+		e = evalTiled(out, img, k.Channels, k.OriginX, k.OriginY, outW, outH, tw, th, k.Rows, k.RowAll)
 	} else {
-		e = evalStrips(out, img, k.Channels, k.OriginX, k.OriginY, outW, 0, outH, spec.Workers, k.Rows, k.RowAll)
+		e = evalRows(out, img, k.Channels, k.OriginX, k.OriginY, outW, outH, k.Rows, k.RowAll)
 	}
 	if e != nil {
 		return nil, fmt.Errorf("ir: kernel %s at (%d,%d,%d): %w", k.Name, e.x, e.y, e.c, e.err)
@@ -412,54 +388,15 @@ func runRow(dst []byte, img *Image, channels, originX, originY, y, outW int, row
 	return nil
 }
 
-// evalRowsRange renders output rows [y0, y1) into out (the full
-// row-major buffer), returning the range's scan-order-first failure.
-func evalRowsRange(out []byte, img *Image, channels, originX, originY, outW, y0, y1 int, rows []RowFunc, rowAll RowAllFunc) *rowErr {
-	for y := y0; y < y1; y++ {
+// evalRows renders output rows [0, outH) into out (the full row-major
+// buffer), returning the scan-order-first failure.
+func evalRows(out []byte, img *Image, channels, originX, originY, outW, outH int, rows []RowFunc, rowAll RowAllFunc) *rowErr {
+	for y := 0; y < outH; y++ {
 		if e := runRow(out[y*outW*channels:], img, channels, originX, originY, y, outW, rows, rowAll); e != nil {
 			return e
 		}
 	}
 	return nil
-}
-
-// evalStrips renders output rows [y0, y1) split across workers.  Every
-// strip renders (no early abort) and the scan-order-minimum failure is
-// reported, so the result — values and error — matches the serial scan
-// for every worker count.
-func evalStrips(out []byte, img *Image, channels, originX, originY, outW, y0, y1, workers int, rows []RowFunc, rowAll RowAllFunc) *rowErr {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > y1-y0 {
-		workers = y1 - y0
-	}
-	if workers <= 1 {
-		return evalRowsRange(out, img, channels, originX, originY, outW, y0, y1, rows, rowAll)
-	}
-	errs := make([]*rowErr, workers)
-	var wg sync.WaitGroup
-	for t := 0; t < workers; t++ {
-		// Strip bounds are computed here and passed by value: a goroutine
-		// capturing a reassigned variable (workers is clamped above) moves
-		// it to the heap at FUNCTION entry, charging the serial path an
-		// allocation per call it never uses.
-		s0 := y0 + t*(y1-y0)/workers
-		s1 := y0 + (t+1)*(y1-y0)/workers
-		wg.Add(1)
-		go func(t, s0, s1 int) {
-			defer wg.Done()
-			errs[t] = evalRowsRange(out, img, channels, originX, originY, outW, s0, s1, rows, rowAll)
-		}(t, s0, s1)
-	}
-	wg.Wait()
-	var best *rowErr
-	for _, e := range errs {
-		if e != nil && (best == nil || e.before(best)) {
-			best = e
-		}
-	}
-	return best
 }
 
 // runTile renders one output tile (tx, ty, tw, th) row by row, returning
@@ -475,74 +412,27 @@ func runTile(out []byte, img *Image, channels, originX, originY, outW, tx, ty, t
 	return nil
 }
 
-// renderTileBands renders tile bands [b0, b1) of a tileW x tileH blocking
-// and returns the scan-order-first failure.  Tiles within a band share the
-// row range, so a band's first erroring tile in tx order is NOT
-// necessarily scan-first — every tile's error is min-merged.
-func renderTileBands(out []byte, img *Image, channels, originX, originY, outW, outH, tileW, tileH, b0, b1 int, rows []RowFunc, rowAll RowAllFunc) *rowErr {
-	var best *rowErr
-	for b := b0; b < b1; b++ {
-		ty := b * tileH
-		th := outH - ty
-		if th > tileH {
-			th = tileH
-		}
-		for tx := 0; tx < outW; tx += tileW {
-			tw := outW - tx
-			if tw > tileW {
-				tw = tileW
-			}
-			if e := runTile(out, img, channels, originX, originY, outW, tx, ty, tw, th, rows, rowAll); e != nil && (best == nil || e.before(best)) {
-				best = e
-			}
-		}
-	}
-	return best
-}
-
 // evalTiled renders the output through a cache-blocked tileW x tileH loop
-// nest — the schedule's literal tile extents — splitting tile bands over
-// workers.  Values and the reported error match evalStrips exactly.
-func evalTiled(out []byte, img *Image, channels, originX, originY, outW, outH, tileW, tileH, workers int, rows []RowFunc, rowAll RowAllFunc) *rowErr {
+// nest — the schedule's literal tile extents — and returns the
+// scan-order-first failure.  Tiles within a band (one row of tiles)
+// share the row range, so a band's first erroring tile in tx order is NOT
+// necessarily scan-first — every tile's error is min-merged.  Values and
+// the reported error match evalRows exactly.
+func evalTiled(out []byte, img *Image, channels, originX, originY, outW, outH, tileW, tileH int, rows []RowFunc, rowAll RowAllFunc) *rowErr {
 	if tileW <= 0 || tileW > outW {
 		tileW = outW
 	}
 	if tileH <= 0 || tileH > outH {
 		tileH = outH
 	}
-	if outW <= 0 || outH <= 0 {
-		return nil
-	}
-	bands := (outH + tileH - 1) / tileH
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > bands {
-		workers = bands
-	}
-	if workers <= 1 {
-		return renderTileBands(out, img, channels, originX, originY, outW, outH, tileW, tileH, 0, bands, rows, rowAll)
-	}
-	errs := make([]*rowErr, workers)
-	var wg sync.WaitGroup
-	for t := 0; t < workers; t++ {
-		// Band bounds and the clamped tile extents travel as arguments:
-		// capturing reassigned variables (workers, tileW, tileH above)
-		// would heap-allocate them at function entry, on the serial path
-		// too.
-		b0 := t * bands / workers
-		b1 := (t + 1) * bands / workers
-		wg.Add(1)
-		go func(t, tw, th, b0, b1 int) {
-			defer wg.Done()
-			errs[t] = renderTileBands(out, img, channels, originX, originY, outW, outH, tw, th, b0, b1, rows, rowAll)
-		}(t, tileW, tileH, b0, b1)
-	}
-	wg.Wait()
 	var best *rowErr
-	for _, e := range errs {
-		if e != nil && (best == nil || e.before(best)) {
-			best = e
+	for ty := 0; ty < outH; ty += tileH {
+		th := min(tileH, outH-ty)
+		for tx := 0; tx < outW; tx += tileW {
+			tw := min(tileW, outW-tx)
+			if e := runTile(out, img, channels, originX, originY, outW, tx, ty, tw, th, rows, rowAll); e != nil && (best == nil || e.before(best)) {
+				best = e
+			}
 		}
 	}
 	return best
@@ -573,9 +463,9 @@ func (k *Kernel) evalStages(sc *Scratch, img *Image, outW, outH int, spec Schedu
 		out := sc.buf(si, w*h*st.Channels)
 		var e *rowErr
 		if tw, th := spec.stageTile(si); tw > 0 || th > 0 {
-			e = evalTiled(out, cur, st.Channels, st.OriginX, st.OriginY, w, h, tw, th, spec.Workers, st.Rows, st.RowAll)
+			e = evalTiled(out, cur, st.Channels, st.OriginX, st.OriginY, w, h, tw, th, st.Rows, st.RowAll)
 		} else {
-			e = evalStrips(out, cur, st.Channels, st.OriginX, st.OriginY, w, 0, h, spec.Workers, st.Rows, st.RowAll)
+			e = evalRows(out, cur, st.Channels, st.OriginX, st.OriginY, w, h, st.Rows, st.RowAll)
 		}
 		if e != nil {
 			return nil, fmt.Errorf("ir: kernel %s stage %d at (%d,%d,%d): %w", k.Name, si, e.x, e.y, e.c, e.err)
@@ -587,8 +477,8 @@ func (k *Kernel) evalStages(sc *Scratch, img *Image, outW, outH int, spec Schedu
 	return cur, nil
 }
 
-// fusedStage is one stage's streaming state within one worker strip of
-// the sliding-window executor.
+// fusedStage is one stage's streaming state within the sliding-window
+// executor.
 type fusedStage struct {
 	st   *StageSpec
 	w, h int
@@ -599,17 +489,16 @@ type fusedStage struct {
 	ringRows, winOut int
 	yBase            int
 	ringImg          Image // what the consumer reads; Base tracks yBase
-	cursor, hi       int
+	cursor           int
 	alive            bool
 	fe               *rowErr
 }
 
 // evalStagesFused streams the pipeline: a producer stage computes only
 // the rows its consumer still needs, ring-buffered, so no full-size
-// intermediate plane is ever allocated.  Worker strips split the final
-// rows and recompute their halo rows independently; per-stage errors
-// merge to the scan-order first, and the earliest erroring stage wins —
-// exactly the materializing executor's reporting.
+// intermediate plane is ever allocated.  Each stage stops at its first
+// error in scan order, and the earliest erroring stage wins — exactly the
+// materializing executor's reporting.
 func (k *Kernel) evalStagesFused(sc *Scratch, img *Image, ws, hs []int, spec ScheduleSpec) (*Image, error) {
 	n := len(k.Stages)
 	for si := 1; si < n; si++ {
@@ -628,70 +517,18 @@ func (k *Kernel) evalStagesFused(sc *Scratch, img *Image, ws, hs []int, spec Sch
 	}
 	last := n - 1
 	out := sc.outBuf(ws[last] * hs[last] * k.Stages[last].Channels)
-	workers := spec.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	errs := sc.errSlots(n)
+	// The generated footprint-specialized driver replaces the generic ring
+	// dispatch only at the minimal window (an explicit WindowRows widens
+	// the ring, which the baked body does not model).
+	if k.FusedStrip != nil && spec.WindowRows == 0 {
+		k.FusedStrip(sc, img, out, ws, hs, errs)
+	} else {
+		k.fusedStrip(sc, img, out, ws, hs, spec.WindowRows, errs)
 	}
-	strips := workers
-	if strips > hs[last] {
-		strips = hs[last]
-	}
-	if strips < 1 {
-		strips = 1
-	}
-	// The generated footprint-specialized strip driver replaces the
-	// generic ring dispatch only at the minimal window (an explicit
-	// WindowRows widens the ring, which the baked body does not model).
-	gen := k.FusedStrip != nil && spec.WindowRows == 0
-	if strips == 1 {
-		errs := sc.errSlots(n)
-		if gen {
-			k.FusedStrip(sc, img, out, ws, hs, 0, hs[last], true, true, errs)
-		} else {
-			k.fusedStrip(sc, img, out, ws, hs, spec.WindowRows, 0, hs[last], true, true, errs)
-		}
-		for si := 0; si < n; si++ {
-			if e := errs[si]; e != nil {
-				return nil, fmt.Errorf("ir: kernel %s stage %d at (%d,%d,%d): %w", k.Name, si, e.x, e.y, e.c, e.err)
-			}
-		}
-		ri := sc.img(n - 1)
-		*ri = Image{Pix: out, Stride: ws[last] * k.Stages[last].Channels, PixStep: k.Stages[last].Channels, ChanStep: 1}
-		return ri, nil
-	}
-	stripErrs := make([][]*rowErr, strips)
-	var wg sync.WaitGroup
-	for t := 0; t < strips; t++ {
-		wsc := sc.worker(t)
-		se := wsc.errSlots(n)
-		stripErrs[t] = se
-		// Strip bounds and the first/drain roles travel as arguments so
-		// the goroutine never captures strips (reassigned above) — a
-		// reassigned capture is heap-moved at function entry, charging the
-		// single-strip path an allocation per call.
-		s0 := t * hs[last] / strips
-		s1 := (t + 1) * hs[last] / strips
-		first, drain := t == 0, t == strips-1
-		wg.Add(1)
-		go func(wsc *Scratch, se []*rowErr, s0, s1 int, first, drain bool) {
-			defer wg.Done()
-			if gen {
-				k.FusedStrip(wsc, img, out, ws, hs, s0, s1, first, drain, se)
-			} else {
-				k.fusedStrip(wsc, img, out, ws, hs, spec.WindowRows, s0, s1, first, drain, se)
-			}
-		}(wsc, se, s0, s1, first, drain)
-	}
-	wg.Wait()
 	for si := 0; si < n; si++ {
-		var best *rowErr
-		for _, se := range stripErrs {
-			if se[si] != nil && (best == nil || se[si].before(best)) {
-				best = se[si]
-			}
-		}
-		if best != nil {
-			return nil, fmt.Errorf("ir: kernel %s stage %d at (%d,%d,%d): %w", k.Name, si, best.x, best.y, best.c, best.err)
+		if e := errs[si]; e != nil {
+			return nil, fmt.Errorf("ir: kernel %s stage %d at (%d,%d,%d): %w", k.Name, si, e.x, e.y, e.c, e.err)
 		}
 	}
 	ri := sc.img(n - 1)
@@ -699,28 +536,14 @@ func (k *Kernel) evalStagesFused(sc *Scratch, img *Image, ws, hs []int, spec Sch
 	return ri, nil
 }
 
-// fusedStrip streams final-stage rows [s0, s1) through the chain and
-// returns each stage's first error (nil entries for clean stages).  The
-// first and drain strips also produce the producer rows no consumer row
-// pulls — below and above the consumers' summed footprint — because the
-// materializing chain computes every producer row and an error in one of
-// them must not be lost.
-func (k *Kernel) fusedStrip(sc *Scratch, img *Image, out []byte, ws, hs []int, windowRows, s0, s1 int, first, drain bool, errs []*rowErr) {
+// fusedStrip streams every final-stage row through the chain and returns
+// each stage's first error (nil entries for clean stages).  Every stage
+// produces all of its rows [0, hs[i]), including those no consumer row
+// pulls, because the materializing chain computes every producer row and
+// an error in one of them must not be lost.
+func (k *Kernel) fusedStrip(sc *Scratch, img *Image, out []byte, ws, hs []int, windowRows int, errs []*rowErr) {
 	n := len(k.Stages)
 	fs := sc.stages(n)
-	fs[n-1].cursor, fs[n-1].hi = s0, s1
-	for i := n - 2; i >= 0; i-- {
-		st := &k.Stages[i+1]
-		lo := fs[i+1].cursor + st.MinDY
-		if lo < 0 || first {
-			lo = 0
-		}
-		hi := fs[i+1].hi + st.MaxDY
-		if hi > hs[i] || drain {
-			hi = hs[i]
-		}
-		fs[i].cursor, fs[i].hi = lo, hi
-	}
 	for i := range fs {
 		s := &fs[i]
 		s.st = &k.Stages[i]
@@ -738,19 +561,18 @@ func (k *Kernel) fusedStrip(sc *Scratch, img *Image, out []byte, ws, hs []int, w
 			s.winOut, s.ringRows = win, rows
 			s.stride = ws[i] // intermediates are planar single-channel
 			s.ring = sc.buf(i, rows*s.stride)
-			s.yBase = s.cursor
-			s.ringImg = Image{Pix: s.ring, Base: -s.yBase * s.stride, Stride: s.stride, PixStep: 1, Tbl: img.Tbl}
+			s.ringImg = Image{Pix: s.ring, Stride: s.stride, PixStep: 1, Tbl: img.Tbl}
 		}
 	}
 	fs[0].in = img
 	for i := 1; i < n; i++ {
 		fs[i].in = &fs[i-1].ringImg
 	}
-	for fs[n-1].alive && fs[n-1].cursor < fs[n-1].hi {
+	for fs[n-1].alive && fs[n-1].cursor < fs[n-1].h {
 		fusedProduce(fs, out, n-1)
 	}
 	for i := n - 2; i >= 0; i-- {
-		for fs[i].alive && fs[i].cursor < fs[i].hi {
+		for fs[i].alive && fs[i].cursor < fs[i].h {
 			fusedProduce(fs, out, i)
 		}
 	}
@@ -769,7 +591,7 @@ func fusedProduce(fs []fusedStage, out []byte, i int) {
 	if i > 0 {
 		p := &fs[i-1]
 		top := y + s.st.MaxDY
-		for p.alive && p.cursor <= top && p.cursor < p.hi {
+		for p.alive && p.cursor <= top && p.cursor < p.h {
 			fusedProduce(fs, out, i-1)
 		}
 		if !p.alive {

@@ -1,10 +1,11 @@
 // Package schedule is the execution-strategy half of the algorithm/schedule
 // split the source paper's speedups rest on.  A lifted kernel (the
 // algorithm) says only *what* each output sample is; a Schedule says *how*
-// the generated runtime should compute it: how output tiles are blocked,
-// how many workers render them, and — for multi-stage pipelines — whether
-// intermediate stages materialize full planes or stream through a sliding
-// window of ring-buffered rows.
+// the generated runtime should compute it: how output tiles are blocked
+// and — for multi-stage pipelines — whether intermediate stages
+// materialize full planes or stream through a sliding window of
+// ring-buffered rows.  A schedule carries no worker count: the runtime
+// renders each call serially, and a server parallelizes across requests.
 //
 // Schedules are plain data: the same generated pipeline runs under any
 // valid schedule and produces bit-identical output (values, error
@@ -28,9 +29,8 @@ import (
 type Fusion string
 
 const (
-	// Materialize computes every stage fully into a freshly allocated
-	// intermediate plane before the next stage starts — the baseline
-	// strategy, maximally parallel within a stage.
+	// Materialize computes every stage fully into an intermediate plane
+	// before the next stage starts — the baseline strategy.
 	Materialize Fusion = "materialize"
 	// SlidingWindow streams stages: a producer stage computes only the
 	// rows its consumer still needs, ring-buffered, so deep pipelines
@@ -49,8 +49,6 @@ type Stage struct {
 
 // Schedule is one kernel's complete execution strategy.
 type Schedule struct {
-	// Workers is the parallel worker count; 0 means GOMAXPROCS.
-	Workers int `json:"workers,omitempty"`
 	// Fusion is the inter-stage strategy; empty means Materialize.
 	Fusion Fusion `json:"fusion,omitempty"`
 	// WindowRows is the ring-buffer height per intermediate plane under
@@ -62,7 +60,7 @@ type Schedule struct {
 }
 
 // Default returns the heuristic schedule the runtime uses without a tuned
-// one: materialize every stage, GOMAXPROCS workers, row strips.
+// one: materialize every stage, row strips.
 func Default() *Schedule { return &Schedule{} }
 
 // FusionKind returns the effective fusion strategy (empty normalizes to
@@ -96,9 +94,6 @@ func (s *Schedule) Validate(nStages int) error {
 	if s.FusionKind() == SlidingWindow && nStages < 2 {
 		return fmt.Errorf("schedule: slidingWindow fusion needs at least 2 stages, pipeline has %d", nStages)
 	}
-	if s.Workers < 0 {
-		return fmt.Errorf("schedule: negative worker count %d", s.Workers)
-	}
 	if s.WindowRows < 0 {
 		return fmt.Errorf("schedule: negative window rows %d", s.WindowRows)
 	}
@@ -122,9 +117,6 @@ func (s *Schedule) String() string {
 	if s.FusionKind() == SlidingWindow && s.WindowRows > 0 {
 		out += fmt.Sprintf("(%d)", s.WindowRows)
 	}
-	if s.Workers > 0 {
-		out += fmt.Sprintf(" workers=%d", s.Workers)
-	}
 	for i, st := range s.Stages {
 		if st == (Stage{}) {
 			continue
@@ -139,20 +131,19 @@ func (s *Schedule) String() string {
 type Set struct {
 	// Config describes the lift geometry the schedules were tuned at.
 	Config string `json:"config"`
-	// GoMaxProcs records the core count of the tuning machine; schedules
-	// tuned on one core are honest about not having explored parallelism.
+	// GoMaxProcs records the core count of the tuning machine.
 	GoMaxProcs int `json:"gomaxprocs"`
 	// Machine is the tuning machine's class key (MachineKey of the tuning
 	// run).  Consumers on a different machine class should warn before
-	// applying the set: a tile or worker count tuned elsewhere is a
-	// hypothesis there, not a measurement.
+	// applying the set: a tile extent tuned elsewhere is a hypothesis
+	// there, not a measurement.
 	Machine string `json:"machine,omitempty"`
 	// Kernels maps kernel name to its winning schedule.
 	Kernels map[string]*Schedule `json:"kernels"`
 }
 
 // MachineKey names the machine class schedules are tuned against: the
-// core count the worker sweep saw and the widest register-row lane the
+// tuning process's core count and the widest register-row lane the
 // executors batch at.  It is deliberately coarse — schedules transfer
 // across same-shape machines, and anything finer (cache sizes, exact
 // CPU model) would invalidate sets too eagerly.
@@ -231,8 +222,6 @@ type GridOpts struct {
 	MinWindow int
 	// OutW and OutH bound tile candidates to the output extent.
 	OutW, OutH int
-	// MaxWorkers caps the worker sweep (usually GOMAXPROCS).
-	MaxWorkers int
 	// Smoke shrinks the grid to a handful of candidates for CI.
 	Smoke bool
 }
@@ -241,65 +230,32 @@ type GridOpts struct {
 // first (so the previous hard-coded strategy is always a candidate and the
 // winner can never be slower than it).
 func Grid(o GridOpts) []*Schedule {
-	workers := []int{0}
-	if o.MaxWorkers > 1 {
-		for w := 1; w <= o.MaxWorkers; w *= 2 {
-			workers = append(workers, w)
-		}
-	}
-	tiles := [][2]int{{0, 0}, {64, 8}, {128, 16}, {256, 32}}
+	tiles := [][2]int{{64, 8}, {128, 16}, {256, 32}}
 	windows := []int{0, 2, 8}
 	if o.Smoke {
-		workers = workers[:min(2, len(workers))]
-		tiles = tiles[:2]
+		tiles = tiles[:1]
 		windows = windows[:2]
 	}
 
-	var out []*Schedule
-	seen := map[string]bool{}
-	// Candidates dedupe by effective semantics, not spelling: Workers 0
-	// means GOMAXPROCS (== the explicit MaxWorkers entry), and any window
-	// at or below the minimal footprint means the minimal window — the
-	// tuner verifies and times every candidate, so a semantic duplicate
-	// is pure waste.
-	add := func(s *Schedule) {
-		n := *s
-		if n.Workers == 0 {
-			n.Workers = max(o.MaxWorkers, 1)
+	out := []*Schedule{Default()}
+	for _, t := range tiles {
+		tw, th := t[0], t[1]
+		if tw > o.OutW && o.OutW > 0 || th > o.OutH && o.OutH > 0 {
+			continue
 		}
-		if n.FusionKind() == SlidingWindow && n.WindowRows <= o.MinWindow {
-			n.WindowRows = 0
+		stages := make([]Stage, max(o.Stages, 1))
+		for i := range stages {
+			stages[i] = Stage{TileW: tw, TileH: th}
 		}
-		key := n.String()
-		if !seen[key] {
-			seen[key] = true
-			out = append(out, s)
-		}
+		out = append(out, &Schedule{Stages: stages})
 	}
-	add(Default())
-	for _, w := range workers {
-		for _, t := range tiles {
-			tw, th := t[0], t[1]
-			if tw > o.OutW && o.OutW > 0 || th > o.OutH && o.OutH > 0 {
-				continue
-			}
-			st := Stage{TileW: tw, TileH: th}
-			stages := []Stage(nil)
-			if st != (Stage{}) {
-				stages = make([]Stage, max(o.Stages, 1))
-				for i := range stages {
-					stages[i] = st
-				}
-			}
-			add(&Schedule{Workers: w, Stages: stages})
-			if o.Stages >= 2 {
-				for _, win := range windows {
-					w2 := win
-					if w2 != 0 && w2 < o.MinWindow {
-						w2 = o.MinWindow
-					}
-					add(&Schedule{Workers: w, Fusion: SlidingWindow, WindowRows: w2})
-				}
+	if o.Stages >= 2 {
+		for _, win := range windows {
+			// A window at or below the minimal footprint runs as the
+			// minimal window (0), already a candidate: the tuner verifies
+			// and times every candidate, so a semantic duplicate is waste.
+			if win == 0 || win > o.MinWindow {
+				out = append(out, &Schedule{Fusion: SlidingWindow, WindowRows: win})
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package schedule
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -15,11 +16,10 @@ func TestValidate(t *testing.T) {
 	}{
 		{"nil", nil, 1, true},
 		{"default", Default(), 1, true},
-		{"materialize", &Schedule{Fusion: Materialize, Workers: 4}, 1, true},
+		{"materialize", &Schedule{Fusion: Materialize}, 1, true},
 		{"sliding", &Schedule{Fusion: SlidingWindow, WindowRows: 3}, 2, true},
 		{"sliding single-stage", &Schedule{Fusion: SlidingWindow}, 1, false},
 		{"unknown fusion", &Schedule{Fusion: "speculate"}, 2, false},
-		{"negative workers", &Schedule{Workers: -1}, 1, false},
 		{"negative window", &Schedule{WindowRows: -2}, 2, false},
 		{"too many stages", &Schedule{Stages: make([]Stage, 3)}, 2, false},
 		{"negative tile", &Schedule{Stages: []Stage{{TileW: -4}}}, 1, false},
@@ -60,8 +60,8 @@ func TestSetRoundTrip(t *testing.T) {
 		Config:     "40x24 seed 1",
 		GoMaxProcs: 1,
 		Kernels: map[string]*Schedule{
-			"blur2p": {Fusion: SlidingWindow, WindowRows: 3, Workers: 2},
-			"boxblur3": {Workers: 1, Stages: []Stage{
+			"blur2p": {Fusion: SlidingWindow, WindowRows: 3},
+			"boxblur3": {Stages: []Stage{
 				{TileW: 128, TileH: 16}}},
 			"hist256": {},
 		},
@@ -81,7 +81,7 @@ func TestSetRoundTrip(t *testing.T) {
 		t.Fatalf("kernel count %d, want %d", len(got.Kernels), len(set.Kernels))
 	}
 	b := got.For("blur2p")
-	if b == nil || b.FusionKind() != SlidingWindow || b.WindowRows != 3 || b.Workers != 2 {
+	if b == nil || b.FusionKind() != SlidingWindow || b.WindowRows != 3 {
 		t.Fatalf("blur2p schedule did not round-trip: %+v", b)
 	}
 	if st := got.For("boxblur3").StageAt(0); st.TileW != 128 || st.TileH != 16 {
@@ -113,15 +113,34 @@ func TestLoadRejectsInvalid(t *testing.T) {
 	if _, err := Load(path); err == nil {
 		t.Fatal("Load must reject an unknown schedule field")
 	}
+	// Schedules carry no worker count; a set that still names one claims
+	// a strategy the runtime does not run.
+	if err := os.WriteFile(path, []byte(`{"kernels":{"k":{"workers":2}}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(path); err == nil {
+		t.Fatal("Load must reject a workers field")
+	}
 }
 
 func TestGrid(t *testing.T) {
-	full := Grid(GridOpts{Stages: 2, MinWindow: 3, OutW: 256, OutH: 256, MaxWorkers: 4})
-	if len(full) < 8 {
-		t.Fatalf("full grid has only %d candidates", len(full))
+	full := Grid(GridOpts{Stages: 2, MinWindow: 3, OutW: 256, OutH: 256})
+	var names []string
+	for _, s := range full {
+		names = append(names, s.String())
 	}
-	if full[0].String() != Default().String() {
-		t.Fatalf("grid[0] = %s, want the heuristic default first", full[0])
+	// The default first, every tile, and the distinct windows: 2 runs as
+	// the minimal window 3, so only 0 (minimal) and 8 remain.
+	want := []string{
+		"materialize",
+		"materialize s0[tile=64x8] s1[tile=64x8]",
+		"materialize s0[tile=128x16] s1[tile=128x16]",
+		"materialize s0[tile=256x32] s1[tile=256x32]",
+		"slidingWindow",
+		"slidingWindow(8)",
+	}
+	if !reflect.DeepEqual(names, want) {
+		t.Fatalf("full grid = %q, want %q", names, want)
 	}
 	seen := map[string]bool{}
 	slidingOK := false
@@ -144,12 +163,12 @@ func TestGrid(t *testing.T) {
 		t.Fatal("multi-stage grid has no slidingWindow candidates")
 	}
 
-	smoke := Grid(GridOpts{Stages: 2, MinWindow: 3, OutW: 64, OutH: 64, MaxWorkers: 1, Smoke: true})
+	smoke := Grid(GridOpts{Stages: 2, MinWindow: 3, OutW: 64, OutH: 64, Smoke: true})
 	if len(smoke) == 0 || len(smoke) >= len(full) {
 		t.Fatalf("smoke grid has %d candidates (full %d)", len(smoke), len(full))
 	}
 
-	single := Grid(GridOpts{Stages: 1, OutW: 64, OutH: 64, MaxWorkers: 1})
+	single := Grid(GridOpts{Stages: 1, OutW: 64, OutH: 64})
 	for _, s := range single {
 		if s.FusionKind() == SlidingWindow {
 			t.Fatalf("single-stage grid offers fusion candidate %s", s)

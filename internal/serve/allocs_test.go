@@ -16,7 +16,7 @@ import (
 // request at a stable geometry — admission, queue, worker handoff, input
 // rebuild, generated execution, response — allocates nothing.  brighten
 // runs its schedule through EvalInto and downsample2x its baked Tuned
-// driver, the two branches of the generated dispatch.
+// driver, the two branches of EvalTunedInto.
 func TestZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		// sync.Pool deliberately randomizes Get/Put under the race

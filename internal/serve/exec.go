@@ -228,16 +228,7 @@ func (e *entry) runBackend(be backendID, rs *reqScratch, req *request, outW, out
 func (e *entry) evalBackend(be backendID, rs *reqScratch, req *request, outW, outH int) ([]byte, error) {
 	switch be {
 	case beGenerated:
-		// Requests parallelize across the worker pool, not inside one
-		// request, so every request runs serially.
-		if e.gk.Tuned != nil {
-			// The schedule-baked serial driver: the per-request fast path.
-			return e.gk.Tuned(&rs.sc, &rs.img, outW, outH)
-		}
-		// Sched.Workers 0 would mean GOMAXPROCS; pin one worker.
-		spec := e.gk.Sched
-		spec.Workers = 1
-		return e.gk.EvalInto(&rs.sc, &rs.img, outW, outH, spec)
+		return e.gk.EvalTunedInto(&rs.sc, &rs.img, outW, outH)
 	case beCompiled:
 		return e.ck.EvalAt(rs.src, outW, outH)
 	case beInterp:

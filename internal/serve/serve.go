@@ -161,6 +161,9 @@ func New(opts Options) *Server {
 	}
 	s.jobPool.New = func() any { return &job{done: make(chan struct{}, 1)} }
 	s.mux = http.NewServeMux()
+	// Built here, not in Serve, so a Shutdown that races Serve's start
+	// still finds (and closes) the server Serve is about to run.
+	s.http = &http.Server{Handler: s.mux}
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
 	s.mux.HandleFunc("/v1/eval", s.handleEval)
@@ -214,7 +217,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Shutdown.
 func (s *Server) Serve(ln net.Listener) error {
 	s.Start()
-	s.http = &http.Server{Handler: s.mux}
 	err := s.http.Serve(ln)
 	if err == http.ErrServerClosed {
 		return nil
@@ -228,18 +230,23 @@ func (s *Server) Serve(ln net.Listener) error {
 // Do calls are in flight or started after.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
-	var err error
-	if s.http != nil {
-		// Shutdown returns once every active handler — every possible
-		// queue producer — has finished, making the close below safe.
-		err = s.http.Shutdown(ctx)
-	}
+	// Shutdown returns once every active handler — every possible queue
+	// producer — has finished, making the close below safe.
+	err := s.http.Shutdown(ctx)
 	if s.started.Load() {
 		close(s.jobs)
 		s.wg.Wait()
 		s.started.Store(false)
 	}
 	return err
+}
+
+// Drain is Shutdown bounded by the DrainTimeout budget, which it logs.
+func (s *Server) Drain() error {
+	s.log.Info("draining", "budget", s.opts.DrainTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), s.opts.DrainTimeout)
+	defer cancel()
+	return s.Shutdown(ctx)
 }
 
 // Stats snapshots the global counters.  The snapshot is computed from

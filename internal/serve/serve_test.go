@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +17,7 @@ import (
 
 	"helium/internal/faultpoint"
 	"helium/internal/legacy"
+	"helium/internal/liftedkernels"
 )
 
 // corpusNames is the whole legacy corpus, pinned so a test failure names
@@ -586,4 +588,57 @@ func waitHealthy(t *testing.T, base string) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatal("server never became healthy")
+}
+
+// TestGeneratedBackendIsEvalTunedInto pins serve's generated backend to
+// liftedkernels' EvalTunedInto, the function perfbench times: on a
+// multi-core GOMAXPROCS, every corpus kernel's backend answer equals
+// EvalTunedInto's bytes, and the backend runs the baked Tuned driver
+// exactly when the generator emitted one.
+func TestGeneratedBackendIsEvalTunedInto(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	s, _ := shared(t)
+	for _, name := range corpusNames {
+		e, err := s.reg.resolve(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.ensure()
+		if e.gk == nil {
+			t.Fatalf("%s: no generated kernel behind the entry", name)
+		}
+		req := &request{w: 44, h: 26, seed: 5}
+		req.inst = e.kern.Instantiate(legacy.Config{Width: req.w, Height: req.h, Seed: req.seed})
+		var rs reqScratch
+		if err := e.buildInput(&rs, req); err != nil {
+			t.Fatalf("%s: buildInput: %v", name, err)
+		}
+		outW, outH := e.outDims(req.w, req.h)
+		want, err := e.gk.EvalTunedInto(new(liftedkernels.Scratch), &rs.img, outW, outH)
+		if err != nil {
+			t.Fatalf("%s: EvalTunedInto: %v", name, err)
+		}
+
+		orig := e.gk
+		wrapped := *orig
+		calls := 0
+		if orig.Tuned != nil {
+			wrapped.Tuned = func(sc *liftedkernels.Scratch, img *liftedkernels.Image, w, h int) ([]byte, error) {
+				calls++
+				return orig.Tuned(sc, img, w, h)
+			}
+		}
+		e.gk = &wrapped
+		got, err := e.evalBackend(beGenerated, &rs, req, outW, outH)
+		e.gk = orig
+		if err != nil {
+			t.Fatalf("%s: generated backend: %v", name, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: generated backend bytes differ from EvalTunedInto", name)
+		}
+		if baked := orig.Tuned != nil; baked != (calls == 1) {
+			t.Errorf("%s: baked Tuned driver = %v, but the backend ran it %d times", name, baked, calls)
+		}
+	}
 }
