@@ -57,7 +57,7 @@ func runTune(args []string) error {
 	if *smoke && !explicitSize {
 		// Smoke mode shrinks the default geometry for CI speed, but an
 		// explicitly requested size wins.
-		cfg = legacy.Config{Width: 48, Height: 32, Seed: *seed}
+		cfg = legacy.Config{Width: smokeWidth, Height: smokeHeight, Seed: *seed}
 	}
 	fmt.Printf("tuning at %s\n", cfg)
 
@@ -108,11 +108,25 @@ func max64f(v, lo float64) float64 {
 	return v
 }
 
-// tuneKernel lifts one kernel and races the candidate grid through the
-// kernel's generated code.
-func tuneKernel(k legacy.Kernel, cfg legacy.Config, smoke bool) (*tuneResult, error) {
-	inst := k.Instantiate(cfg)
-	res, err := lift.Lift(k.Name, target(inst))
+// smokeWidth and smokeHeight are `tune -smoke`'s geometry when no size
+// is given: small, for CI speed.
+const smokeWidth, smokeHeight = 48, 32
+
+// tuneTarget is one kernel lifted for tuning: its generated code, the
+// input image and output window every candidate runs on, and the VM's
+// bytes every candidate must reproduce.
+type tuneTarget struct {
+	res        *lift.Result
+	gk         *liftedkernels.Kernel
+	img        liftedkernels.Image
+	outW, outH int
+	want       []byte
+	sc         liftedkernels.Scratch
+}
+
+// newTuneTarget lifts k at cfg and prepares its generated code to race.
+func newTuneTarget(k legacy.Kernel, cfg legacy.Config) (*tuneTarget, error) {
+	res, err := lift.Lift(k.Name, target(k.Instantiate(cfg)))
 	if err != nil {
 		return nil, err
 	}
@@ -128,51 +142,40 @@ func tuneKernel(k legacy.Kernel, cfg legacy.Config, smoke bool) (*tuneResult, er
 	if err != nil {
 		return nil, err
 	}
-	outW, outH := res.EvalDims()
-	samples := float64(len(want))
-	sc := new(liftedkernels.Scratch)
-	// run evaluates one candidate and demands the VM's bytes.
-	run := func(cand *schedule.Schedule, spec liftedkernels.ScheduleSpec) func() error {
-		return func() error {
-			got, err := gk.EvalInto(sc, &img, outW, outH, spec)
-			if err != nil {
-				return fmt.Errorf("schedule %s: %w", cand, err)
-			}
-			if !bytes.Equal(got, want) {
-				return fmt.Errorf("schedule %s changed the output", cand)
-			}
-			return nil
-		}
-	}
+	tt := &tuneTarget{res: res, gk: gk, img: img, want: want}
+	tt.outW, tt.outH = res.EvalDims()
+	return tt, nil
+}
 
-	// Reduction-only pipelines have no schedulable stencil work: the
-	// scatter update runs serially whatever the schedule says, so the
-	// default schedule is verified, timed and recorded as-is.
-	onlyReductions := true
-	for i := range res.Stages {
-		if res.Stages[i].Kernel != nil {
-			onlyReductions = false
+// onlyReductions reports a pipeline with no stencil stage.
+func (tt *tuneTarget) onlyReductions() bool {
+	for i := range tt.res.Stages {
+		if tt.res.Stages[i].Kernel != nil {
+			return false
 		}
 	}
-	if onlyReductions {
-		def := schedule.Default()
-		ns, err := timeIt(run(def, genSpec(def)))
-		if err != nil {
-			return nil, err
-		}
-		return &tuneResult{kernel: k.Name, sched: def, bestNs: ns / samples, defaultNs: ns / samples, candidates: 1}, nil
-	}
+	return true
+}
 
+// grid enumerates the candidate schedules, the default first.
+// Reduction-only pipelines have no schedulable stencil work: the scatter
+// update runs serially whatever the schedule says, so the default is
+// their only candidate.
+func (tt *tuneTarget) grid(smoke bool) []*schedule.Schedule {
+	if tt.onlyReductions() {
+		return []*schedule.Schedule{schedule.Default()}
+	}
 	opts := schedule.GridOpts{
 		Stages: 1,
-		OutW:   outW,
-		OutH:   outH,
+		OutW:   tt.outW,
+		OutH:   tt.outH,
 		Smoke:  smoke,
 	}
 	// Fusion candidates only for pipelines the runtime streams: two or
 	// more stages its sliding-window validation accepts.
+	gk := tt.gk
 	if len(gk.Stages) >= 2 {
-		if _, err := gk.EvalInto(sc, &img, outW, outH, liftedkernels.ScheduleSpec{Fusion: string(schedule.SlidingWindow)}); err == nil {
+		if _, err := gk.EvalInto(&tt.sc, &tt.img, tt.outW, tt.outH, liftedkernels.ScheduleSpec{Fusion: string(schedule.SlidingWindow)}); err == nil {
 			opts.Stages = len(gk.Stages)
 			// The smallest per-gap window — each consumer's recorded row
 			// footprint: candidates at or below it are minimal on every gap
@@ -183,14 +186,39 @@ func tuneKernel(k legacy.Kernel, cfg legacy.Config, smoke bool) (*tuneResult, er
 			}
 		}
 	}
-	grid := schedule.Grid(opts)
+	return schedule.Grid(opts)
+}
 
+// run returns one candidate's evaluation, which demands the VM's bytes.
+func (tt *tuneTarget) run(cand *schedule.Schedule) func() error {
+	spec := genSpec(cand)
+	return func() error {
+		got, err := tt.gk.EvalInto(&tt.sc, &tt.img, tt.outW, tt.outH, spec)
+		if err != nil {
+			return fmt.Errorf("schedule %s: %w", cand, err)
+		}
+		if !bytes.Equal(got, tt.want) {
+			return fmt.Errorf("schedule %s changed the output", cand)
+		}
+		return nil
+	}
+}
+
+// tuneKernel lifts one kernel and races the candidate grid through the
+// kernel's generated code.
+func tuneKernel(k legacy.Kernel, cfg legacy.Config, smoke bool) (*tuneResult, error) {
+	tt, err := newTuneTarget(k, cfg)
+	if err != nil {
+		return nil, err
+	}
+	grid := tt.grid(smoke)
+	samples := float64(len(tt.want))
 	r := &tuneResult{kernel: k.Name, candidates: len(grid)}
 	for i, cand := range grid {
-		if err := cand.Validate(len(res.Stages)); err != nil {
+		if err := cand.Validate(len(tt.res.Stages)); err != nil {
 			return nil, fmt.Errorf("candidate %s: %w", cand, err)
 		}
-		fn := run(cand, genSpec(cand))
+		fn := tt.run(cand)
 		// Early pruning: one quick probe (which also verifies the
 		// candidate); a candidate already far behind the leader is not
 		// worth steady-state timing.

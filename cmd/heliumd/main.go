@@ -48,7 +48,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"helium/internal/obs"
 	"helium/internal/serve"
@@ -104,14 +103,14 @@ func parseFlags(args []string, stderr io.Writer) (config, error) {
 	var c config
 	fs.StringVar(&c.addr, "addr", ":8080", "listen address")
 	fs.IntVar(&c.opts.Workers, "workers", 0, "execution pool size (0 = GOMAXPROCS)")
-	fs.IntVar(&c.opts.QueueDepth, "queue", 64, "admission queue depth (full queue sheds with 503)")
+	fs.IntVar(&c.opts.QueueDepth, "queue", serve.DefaultQueueDepth, "admission queue depth (full queue sheds with 503)")
 	fs.IntVar(&c.opts.PerKernel, "per-kernel", 0, "per-kernel concurrency limit (0 = pool size)")
-	fs.DurationVar(&c.opts.Timeout, "timeout", 10*time.Second, "per-request execution deadline")
-	fs.DurationVar(&c.opts.DrainTimeout, "drain", 0, "graceful shutdown drain budget (0 = 10s)")
+	fs.DurationVar(&c.opts.Timeout, "timeout", serve.DefaultTimeout, "per-request execution deadline")
+	fs.DurationVar(&c.opts.DrainTimeout, "drain", 0, fmt.Sprintf("graceful shutdown drain budget (0 = %v)", serve.DefaultDrainTimeout))
 	fs.BoolVar(&c.warm, "warm", true, "lift the whole corpus before reporting ready")
-	fs.DurationVar(&c.opts.SlowBackendDelay, "fault-slow", 25*time.Millisecond, "injected delay of the serve.slow-backend faultpoint")
-	fs.IntVar(&c.opts.MaxWidth, "max-width", 2048, "largest accepted request width")
-	fs.IntVar(&c.opts.MaxHeight, "max-height", 2048, "largest accepted request height")
+	fs.DurationVar(&c.opts.SlowBackendDelay, "fault-slow", serve.DefaultSlowBackendDelay, "injected delay of the serve.slow-backend faultpoint")
+	fs.IntVar(&c.opts.MaxWidth, "max-width", serve.DefaultMaxWidth, "largest accepted request width")
+	fs.IntVar(&c.opts.MaxHeight, "max-height", serve.DefaultMaxHeight, "largest accepted request height")
 	fs.StringVar(&c.logLevel, "log-level", "info", "stderr log threshold: debug, info, warn, error, off")
 	fs.BoolVar(&c.opts.EnablePprof, "pprof", false, "mount net/http/pprof under /debug/pprof/")
 

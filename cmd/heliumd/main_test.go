@@ -31,11 +31,11 @@ func TestParseFlags(t *testing.T) {
 			name: "defaults",
 			want: config{
 				opts: serve.Options{
-					QueueDepth:       64,
-					Timeout:          10 * time.Second,
-					SlowBackendDelay: 25 * time.Millisecond,
-					MaxWidth:         2048,
-					MaxHeight:        2048,
+					QueueDepth:       serve.DefaultQueueDepth,
+					Timeout:          serve.DefaultTimeout,
+					SlowBackendDelay: serve.DefaultSlowBackendDelay,
+					MaxWidth:         serve.DefaultMaxWidth,
+					MaxHeight:        serve.DefaultMaxHeight,
 				},
 				addr: ":8080", warm: true, logLevel: "info",
 				kernel: "boxblur3", width: 40, height: 24, seed: 1,

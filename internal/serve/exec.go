@@ -39,6 +39,10 @@ type request struct {
 	pixels []byte // client input interior; nil selects pattern mode
 	trace  uint64 // trace id; do generates one when the caller left it 0
 
+	// body is the pooled buffer pixels aliases, when the body was read
+	// off the wire; nil when the caller owns pixels.  See Server.do.
+	body *bodyBuf
+
 	inst *legacy.Instance // pattern-mode instance, built during execute
 }
 

@@ -19,6 +19,17 @@ import (
 	"helium/internal/obs"
 )
 
+// Defaults of the Options fields a command line exposes, kept here so a
+// flag's default and the zero value's fallback cannot drift apart.
+const (
+	DefaultQueueDepth       = 64
+	DefaultTimeout          = 10 * time.Second
+	DefaultDrainTimeout     = 10 * time.Second
+	DefaultSlowBackendDelay = 25 * time.Millisecond
+	DefaultMaxWidth         = 2048
+	DefaultMaxHeight        = 2048
+)
+
 // Options configures a Server.  The zero value is usable: every field
 // falls back to the documented default.
 type Options struct {
@@ -86,25 +97,25 @@ func (o Options) withDefaults() Options {
 		o.LiftSeed = 1
 	}
 	def(&o.Workers, runtime.GOMAXPROCS(0))
-	def(&o.QueueDepth, 64)
+	def(&o.QueueDepth, DefaultQueueDepth)
 	def(&o.PerKernel, o.Workers)
 	if o.Timeout <= 0 {
-		o.Timeout = 10 * time.Second
+		o.Timeout = DefaultTimeout
 	}
 	if o.DrainTimeout <= 0 {
-		o.DrainTimeout = 10 * time.Second
+		o.DrainTimeout = DefaultDrainTimeout
 	}
 	def(&o.MinWidth, 12)
 	def(&o.MinHeight, 6)
-	def(&o.MaxWidth, 2048)
-	def(&o.MaxHeight, 2048)
+	def(&o.MaxWidth, DefaultMaxWidth)
+	def(&o.MaxHeight, DefaultMaxHeight)
 	if o.MaxVMSteps == 0 {
 		o.MaxVMSteps = 200_000_000
 	}
 	def(&o.TripAfter, 3)
 	def(&o.ProbeAfter, 8)
 	if o.SlowBackendDelay <= 0 {
-		o.SlowBackendDelay = 25 * time.Millisecond
+		o.SlowBackendDelay = DefaultSlowBackendDelay
 	}
 	if o.Logger == nil {
 		o.Logger = obs.NopLogger()
@@ -136,9 +147,10 @@ type Server struct {
 	log  *obs.Logger
 	met  *metrics
 
-	jobs    chan *job
-	jobPool sync.Pool
-	wg      sync.WaitGroup
+	jobs     chan *job
+	jobPool  sync.Pool
+	bodyPool sync.Pool // *bodyBuf request-body buffers
+	wg       sync.WaitGroup
 
 	started  atomic.Bool
 	draining atomic.Bool
@@ -160,6 +172,7 @@ func New(opts Options) *Server {
 		jobs: make(chan *job, o.QueueDepth),
 	}
 	s.jobPool.New = func() any { return &job{done: make(chan struct{}, 1)} }
+	s.bodyPool.New = func() any { return new(bodyBuf) }
 	s.mux = http.NewServeMux()
 	// Built here, not in Serve, so a Shutdown that races Serve's start
 	// still finds (and closes) the server Serve is about to run.
@@ -371,13 +384,14 @@ func (s *Server) worker() {
 }
 
 // release returns a job's resources: scratch to the entry pool, the
-// per-kernel slot, and the job itself.  Called exactly once per admitted
-// job, by whichever side owns it last.
+// request body to the body pool, the per-kernel slot, and the job itself.
+// Called exactly once per admitted job, by whichever side owns it last.
 func (s *Server) release(j *job) {
 	if j.rs != nil {
 		j.e.scratch.Put(j.rs)
 		j.rs = nil
 	}
+	s.releaseBody(&j.req)
 	<-j.e.sem
 	j.ctx, j.e, j.req, j.res = nil, nil, request{}, result{}
 	s.jobPool.Put(j)
@@ -389,12 +403,17 @@ func (s *Server) release(j *job) {
 // The request's trace id (generated here when the caller did not admit
 // one) rides on the result and stitches the access-log line to the
 // X-Helium-Trace header.
+//
+// do takes ownership of req's pooled body buffer, if it has one: a
+// refused request returns it here, an admitted one hands it to its job
+// (whose release returns it), and either way req stops aliasing it.
 func (s *Server) do(ctx context.Context, kernel string, req *request, emit func(*result)) {
 	start := time.Now()
 	if req.trace == 0 {
 		req.trace = obs.NewTraceID()
 	}
 	if s.draining.Load() {
+		s.releaseBody(req)
 		s.met.shed.Inc()
 		r := result{status: 503, errMsg: "server is draining", retryAfter: 1}
 		s.finish(kernel, req, start, emit, &r)
@@ -402,6 +421,7 @@ func (s *Server) do(ctx context.Context, kernel string, req *request, emit func(
 	}
 	e, err := s.reg.resolve(kernel)
 	if err != nil {
+		s.releaseBody(req)
 		r := result{status: 404, errMsg: err.Error()}
 		s.finish(kernel, req, start, emit, &r)
 		return
@@ -410,6 +430,7 @@ func (s *Server) do(ctx context.Context, kernel string, req *request, emit func(
 	select {
 	case e.sem <- struct{}{}:
 	default:
+		s.releaseBody(req)
 		s.met.limited.Inc()
 		r := result{status: 429, errMsg: "kernel concurrency limit reached", retryAfter: 1}
 		s.finish(kernel, req, start, emit, &r)
@@ -418,6 +439,10 @@ func (s *Server) do(ctx context.Context, kernel string, req *request, emit func(
 	j := s.jobPool.Get().(*job)
 	j.state.Store(statePending)
 	j.ctx, j.e, j.req, j.enq = ctx, e, *req, start
+	if req.body != nil {
+		// The job owns the body now; only its release returns it.
+		req.body, req.pixels = nil, nil
+	}
 	// Bounded admission: a full queue (or the injected overload) sheds
 	// rather than queueing unbounded latency.
 	shed := faultpoint.Enabled(fpShed)
@@ -430,7 +455,7 @@ func (s *Server) do(ctx context.Context, kernel string, req *request, emit func(
 	}
 	if shed {
 		j.rs = nil
-		s.release(j)
+		s.release(j) // returns the body: no worker ever saw this job
 		s.met.shed.Inc()
 		r := result{status: 503, errMsg: "admission queue is full", retryAfter: 1}
 		s.finish(kernel, req, start, emit, &r)
@@ -445,7 +470,8 @@ func (s *Server) do(ctx context.Context, kernel string, req *request, emit func(
 			s.met.timeouts.Inc()
 			r := result{status: 504, errMsg: "request deadline expired before execution finished"}
 			s.finish(kernel, req, start, emit, &r)
-			// The worker (or queue drain) releases the job.
+			// The worker (or queue drain) releases the job and its
+			// body: it may still be reading the pixels.
 			return
 		}
 		// The worker finished first; take the handoff normally.
@@ -552,22 +578,24 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var pixels []byte
+	req := request{w: width, h: height, seed: seed, trace: trace}
 	if r.Method == http.MethodPost && r.ContentLength != 0 {
 		// Generous fixed bound: dimensions are already capped, and the
 		// exact per-kernel length is enforced after the entry is lifted.
 		maxBody := int64(s.opts.MaxWidth+16)*int64(s.opts.MaxHeight+16)*4 + 1
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+		req.body = s.getBody()
+		var err error
+		req.body.b, err = readBody(http.MaxBytesReader(w, r.Body, maxBody), req.body.b)
 		if err != nil {
+			s.releaseBody(&req)
 			fail(http.StatusRequestEntityTooLarge, "request body exceeds the input size limit", kernel, width, height)
 			return
 		}
-		pixels = body
+		req.pixels = req.body.b
 	}
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.opts.Timeout)
 	defer cancel()
-	req := request{w: width, h: height, seed: seed, pixels: pixels, trace: trace}
 	s.do(ctx, kernel, &req, func(res *result) {
 		h := w.Header()
 		if res.backend != "" {
@@ -583,15 +611,79 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 			httpError(w, res.status, res.errMsg, res.phase)
 			return
 		}
-		if res.bins > 0 {
-			h.Set("X-Helium-Output", fmt.Sprintf("bins:%d", res.bins))
-		} else {
-			h.Set("X-Helium-Output", fmt.Sprintf("%dx%d", res.outW, res.outH))
-		}
+		h.Set("X-Helium-Output", outputHeader(res))
 		h.Set("Content-Type", "application/octet-stream")
+		// A declared length writes the body unframed instead of chunked.
+		h.Set("Content-Length", strconv.Itoa(len(res.body)))
 		w.WriteHeader(http.StatusOK)
 		w.Write(res.body)
 	})
+}
+
+// outputHeader renders a 200's X-Helium-Output value: "bins:N" for a
+// reduction, "WxH" for a stencil window.
+func outputHeader(res *result) string {
+	var buf [48]byte
+	var b []byte
+	if res.bins > 0 {
+		b = strconv.AppendInt(append(buf[:0], "bins:"...), int64(res.bins), 10)
+	} else {
+		b = strconv.AppendInt(buf[:0], int64(res.outW), 10)
+		b = strconv.AppendInt(append(b, 'x'), int64(res.outH), 10)
+	}
+	return string(b)
+}
+
+// bodyBuf is a pooled request-body buffer.  It goes back to the pool
+// exactly once per use, by whoever owns the request last; pooled turns a
+// second return into a panic rather than two requests sharing bytes.
+type bodyBuf struct {
+	b      []byte
+	pooled atomic.Bool
+}
+
+// getBody takes a body buffer from the pool.
+func (s *Server) getBody() *bodyBuf {
+	b := s.bodyPool.Get().(*bodyBuf)
+	b.pooled.Store(false)
+	return b
+}
+
+// releaseBody returns the request's pooled body buffer, if it has one,
+// and drops the pixels that alias it.
+func (s *Server) releaseBody(req *request) {
+	b := req.body
+	if b == nil {
+		return
+	}
+	req.body, req.pixels = nil, nil
+	if !b.pooled.CompareAndSwap(false, true) {
+		panic("serve: request body buffer returned to the pool twice")
+	}
+	s.bodyPool.Put(b)
+}
+
+// readBody reads r to EOF into buf's reused capacity.  Like io.ReadAll it
+// grows the buffer only as bytes arrive, so a declared length the client
+// never sends costs nothing.
+func readBody(r io.Reader, buf []byte) ([]byte, error) {
+	b := buf[:0]
+	if cap(b) == 0 {
+		b = make([]byte, 0, 512)
+	}
+	for {
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)] // let append pick the growth
+		}
+	}
 }
 
 // kernelInfo is one registry entry's observable state.
